@@ -1,52 +1,21 @@
-//! Scan-kernel and query-pipeline throughput report, tracked in-tree.
+//! Scan-kernel throughput report, tracked in-tree.
 //!
-//! Part 1 measures the scan kernels on a fixed-seed 1 M-row partition —
-//! the scalar (pre-vectorization) reference loops plus every kernel tier
-//! the host CPU supports (portable word-at-a-time, SSE2, AVX2, AVX-512) —
+//! Measures the scan kernels on a fixed-seed 1 M-row partition — the
+//! scalar (pre-vectorization) reference loops plus every kernel tier the
+//! host CPU supports (portable word-at-a-time, SSE2, AVX2, AVX-512) —
 //! across exact masked aggregation, predicate evaluation (the conjunction
 //! and the pure-u8 comparison), SIMD IN-list membership, the fused
 //! single-comparison scan, the opt-in reassociated `fast_sum` masked
 //! aggregation, and sampled estimation, and writes `BENCH_scan.json` at
-//! the repo root so every PR records per-tier rows/sec and the
-//! tier-over-tier speedups (including avx512-vs-avx2 where both exist).
+//! the repo root so every PR records per-tier rows/sec, the
+//! tier-over-tier speedups (including avx512-vs-avx2 where both exist)
+//! and the dispatched kernel tier (`kernel_tier`).
 //!
-//! Part 2 measures the statement lifecycle: one-shot execution
-//! (parse + plan + execute per call) vs the cached-plan string API vs a
-//! `PreparedQuery`, in statements/sec at sample rate 0.01, driven from 1
-//! and 8 client threads over one shared engine handle — written to
-//! `BENCH_query.json`.
-//!
-//! Part 3 measures live ingest: row staging throughput, publish latency
-//! for the incremental catalog derivation (new-day cells vs grown-day
-//! absorbs) against a full rebuild, prepared-query latency right after a
-//! version swap, and the parallel work-queue scaling of `catalog build`
-//! and multi-day `apply_delta` backfills across worker counts — written
-//! to `BENCH_ingest.json`.
-//!
-//! Part 4 measures the TCP service frontend end to end: the closed-loop
-//! harness from `flashp-server` sweeps 1/8/64/256 concurrent clients
-//! (each re-executing a prepared statement, with a concurrent
-//! ingest+publish connection swapping catalog versions under the load)
-//! and records client-observed p50/p99 latency and statements/sec —
-//! written to `BENCH_service.json`.
-//!
-//! Part 5 measures the versioned day-partial cache on a dashboard
-//! replay: one prepared `USING (?, ?)` handle re-bound across rotating
-//! sliding windows, cold (cache-disabled engine) vs warm (cached engine
-//! after one populating pass), with every window first proven
-//! bit-identical across the two engines before any timing — then a warm
-//! replay under a concurrent ingest+publish loop, with a post-publish
-//! bit-equality check against a fresh uncached engine over the final
-//! table — written to `BENCH_cache.json`.
-//!
-//! Every report records the dispatched kernel tier (`kernel_tier`).
+//! End-to-end numbers (wire round trips at table scale) come from the
+//! standalone benchmark under `benchmark/`, not from this report.
 //!
 //! Run with `cargo run -p flashp-bench --release --bin bench_report`.
 
-use flashp_core::{
-    parse, CatalogDelta, EngineConfig, FlashPEngine, IngestBatch, Literal, SampleCatalog, Statement,
-};
-use flashp_data::{generate_dataset, BatchStream, DatasetConfig, StreamConfig};
 use flashp_sampling::{estimate_components_with_kernels, GswSampler, SampleSize, Sampler};
 use flashp_storage::reference::{aggregate_masked_scalar, evaluate_scalar};
 use flashp_storage::{
@@ -81,8 +50,18 @@ fn setup() -> (SchemaRef, Partition) {
 }
 
 /// Median seconds per call over `REPS` timed calls (after warmup).
-fn time_median<R>(f: impl FnMut() -> R) -> f64 {
-    time_median_k(REPS, f)
+fn time_median<R>(mut f: impl FnMut() -> R) -> f64 {
+    for _ in 0..2 {
+        black_box(f());
+    }
+    let mut times = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        let t = Instant::now();
+        black_box(f());
+        times.push(t.elapsed().as_secs_f64());
+    }
+    times.sort_by(f64::total_cmp);
+    times[REPS / 2]
 }
 
 struct Bench {
@@ -370,553 +349,6 @@ fn main() {
         "benches": reports,
     });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n").unwrap();
-    println!("wrote {path}");
-
-    query_pipeline_report();
-    ingest_report();
-    service_report();
-    cache_report();
-}
-
-/// Bit-level equality of two forecast results (training estimates and
-/// forecast points) — the precondition for every cache timing below.
-fn assert_forecast_bits(
-    a: &flashp_core::ForecastResult,
-    b: &flashp_core::ForecastResult,
-    label: &str,
-) {
-    assert_eq!(a.estimates.len(), b.estimates.len(), "{label}: estimate count");
-    for (pa, pb) in a.estimates.iter().zip(&b.estimates) {
-        assert_eq!(pa.t, pb.t, "{label}: timestamp");
-        assert_eq!(pa.value.to_bits(), pb.value.to_bits(), "{label}: estimate at {}", pa.t);
-        assert_eq!(
-            pa.variance.map(f64::to_bits),
-            pb.variance.map(f64::to_bits),
-            "{label}: variance at {}",
-            pa.t
-        );
-    }
-    assert_eq!(a.forecasts.len(), b.forecasts.len(), "{label}: forecast count");
-    for (pa, pb) in a.forecasts.iter().zip(&b.forecasts) {
-        assert_eq!(pa.value.to_bits(), pb.value.to_bits(), "{label}: forecast at {}", pa.t);
-    }
-}
-
-/// Part 5: dashboard replay through the day-partial cache
-/// (`BENCH_cache.json`).
-fn cache_report() {
-    use flashp_storage::Timestamp;
-
-    // A dashboard-scale task: 10 k rows/day over 120 days, 20 % GSW
-    // layer, so per-day estimation (~2 k sampled rows) dominates the
-    // cheap naive model fit.
-    let rows_per_day = 10_000usize;
-    let base_days = 120usize;
-    let dataset_config = DatasetConfig::new(rows_per_day, base_days, SEED);
-    let dataset = generate_dataset(&dataset_config).expect("dataset");
-    let config = EngineConfig {
-        layer_rates: vec![0.2],
-        default_rate: 0.2,
-        threads: 1,
-        ..Default::default()
-    };
-    let uncached_config = EngineConfig { partial_cache: false, ..config.clone() };
-    let catalog = SampleCatalog::build(&dataset.table, &config).expect("catalog");
-    let cached_engine = FlashPEngine::with_catalog(dataset.table.clone(), config.clone(), catalog);
-    let catalog = SampleCatalog::build(&dataset.table, &uncached_config).expect("catalog");
-    let uncached_engine =
-        FlashPEngine::with_catalog(dataset.table, uncached_config.clone(), catalog);
-
-    let sql = "FORECAST SUM(Impression) FROM ads WHERE age <= 30 AND gender = 'F' \
-               USING (?, ?) OPTION (MODEL = 'naive', FORE_PERIOD = 7)";
-    let cached = cached_engine.prepare(sql).expect("prepare");
-    let uncached = uncached_engine.prepare(sql).expect("prepare");
-
-    // Rotating sliding windows: 60-day spans stepping 5 days forward —
-    // each rotation re-estimates 55 days the previous one already
-    // covered, the shape the cache exists for.
-    let day0 = Timestamp::from_yyyymmdd(20200101).expect("day0");
-    let windows: Vec<(i64, i64)> = (0..8i64)
-        .map(|i| ((day0 + i * 5).to_yyyymmdd(), (day0 + i * 5 + 59).to_yyyymmdd()))
-        .collect();
-    let replay = |q: &flashp_core::PreparedQuery| {
-        for &(lo, hi) in &windows {
-            q.forecast_with(&[Literal::Int(lo), Literal::Int(hi)]).expect("replay forecast");
-        }
-    };
-
-    // Bit-equality first, timing second: every window must answer
-    // identically on the cached (cold then warm) and uncached engines.
-    for &(lo, hi) in &windows {
-        let params = [Literal::Int(lo), Literal::Int(hi)];
-        let want = uncached.forecast_with(&params).expect("uncached forecast");
-        let cold = cached.forecast_with(&params).expect("cold forecast");
-        let warm = cached.forecast_with(&params).expect("warm forecast");
-        assert_forecast_bits(&want, &cold, &format!("cold {lo}..{hi}"));
-        assert_forecast_bits(&want, &warm, &format!("warm {lo}..{hi}"));
-    }
-
-    let cold_secs = time_median_k(7, || replay(&uncached));
-    replay(&cached); // ensure every window is fully warm
-    let warm_secs = time_median_k(7, || replay(&cached));
-    let speedup = cold_secs / warm_secs;
-    println!("\nday-partial cache: {}-window dashboard replay (60-day spans)", windows.len());
-    println!(
-        "cold replay {:>9.2} ms   warm replay {:>9.2} ms   warm speedup {speedup:>5.1}x",
-        cold_secs * 1e3,
-        warm_secs * 1e3
-    );
-    assert!(
-        speedup >= 3.0,
-        "acceptance: warm replay must be at least 3x the cold replay, got {speedup:.2}x"
-    );
-
-    // Warm replay under a concurrent publisher: a second thread grows
-    // existing days *inside* the replay windows and publishes, while the
-    // dashboard loops until every publish has landed. The structural
-    // invalidation retires exactly the republished days' cells, so each
-    // replay recomputes only those and stays warm for everything else.
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let publishes = 5usize;
-    let done = AtomicBool::new(false);
-    let mut during = Vec::new();
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut grow_stream = BatchStream::starting_at_day(
-                &dataset_config,
-                StreamConfig::new(rows_per_day / 10, SEED ^ 0xCAFE),
-                80,
-            );
-            for _ in 0..publishes {
-                let b = grow_stream.next().expect("unbounded stream");
-                let mut batch = IngestBatch::new();
-                batch.push_partition(b.t, b.partition);
-                cached_engine.ingest(batch).expect("ingest");
-                cached_engine.publish().expect("publish");
-            }
-            done.store(true, Ordering::Relaxed);
-        });
-        loop {
-            let t0 = Instant::now();
-            replay(&cached);
-            during.push(t0.elapsed().as_secs_f64());
-            if done.load(Ordering::Relaxed) {
-                break;
-            }
-        }
-    });
-    during.sort_by(f64::total_cmp);
-    let under_publish_secs = during[during.len() / 2];
-    let replays_during_publishes = during.len();
-
-    // Post-publish oracle: a fresh uncached engine built over the final
-    // table must answer every window bit-identically to the (still
-    // cached) handle that lived through the version swaps.
-    let final_table = cached_engine.table();
-    let catalog = SampleCatalog::build(&final_table, &uncached_config).expect("catalog");
-    let oracle = FlashPEngine::with_catalog(final_table, uncached_config, catalog);
-    let oracle = oracle.prepare(sql).expect("prepare");
-    for &(lo, hi) in &windows {
-        let params = [Literal::Int(lo), Literal::Int(hi)];
-        let want = oracle.forecast_with(&params).expect("oracle forecast");
-        let got = cached.forecast_with(&params).expect("post-publish forecast");
-        assert_forecast_bits(&want, &got, &format!("post-publish {lo}..{hi}"));
-    }
-
-    let stats = cached_engine.partial_cache_stats().expect("cache on");
-    println!(
-        "warm replay under publisher {:>9.2} ms median over {replays_during_publishes} replays \
-         ({publishes} publishes)   cache: {} hits, {} misses, {} evictions, {} entries",
-        under_publish_secs * 1e3,
-        stats.hits,
-        stats.misses,
-        stats.evictions,
-        stats.entries
-    );
-
-    let doc = json!({
-        "bench": "BENCH_cache",
-        "rows_per_day": rows_per_day,
-        "base_days": base_days,
-        "layer_rates": [0.2],
-        "seed": SEED,
-        "kernel_tier": simd::active_tier().name(),
-        "statement": sql,
-        "windows": windows.iter().map(|(lo, hi)| json!([lo, hi])).collect::<Vec<_>>(),
-        "bit_equal_before_timing": true,
-        "cold_replay_secs": cold_secs,
-        "warm_replay_secs": warm_secs,
-        "warm_vs_cold_speedup": speedup,
-        "warm_replay_under_publisher_secs": under_publish_secs,
-        "concurrent_publishes": publishes,
-        "replays_during_publishes": replays_during_publishes,
-        "post_publish_bit_equal": true,
-        "cache_stats": {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "evictions": stats.evictions,
-            "entries": stats.entries,
-        },
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cache.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n").unwrap();
-    println!("wrote {path}");
-}
-
-/// Part 4: closed-loop service throughput (`BENCH_service.json`).
-fn service_report() {
-    let doc = flashp_server::harness::service_report();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n").unwrap();
-    println!("wrote {path}");
-}
-
-/// Statements per client thread in each timed query-pipeline run.
-const STATEMENTS: usize = 2_000;
-
-/// Wall-clock statements/sec for `threads` client threads each issuing
-/// [`STATEMENTS`] calls of `f` against shared state.
-fn statements_per_sec(threads: usize, f: impl Fn() + Sync) -> f64 {
-    // Warmup (also populates the plan cache for the cached mode).
-    for _ in 0..50 {
-        f();
-    }
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // Each closure already consumes its query result (the
-                // error check), so no black_box is needed here.
-                for _ in 0..STATEMENTS {
-                    f();
-                }
-            });
-        }
-    });
-    (threads * STATEMENTS) as f64 / t0.elapsed().as_secs_f64()
-}
-
-/// Part 2: statement-lifecycle throughput (`BENCH_query.json`).
-fn query_pipeline_report() {
-    // An interactive-scale task: 2 k rows/day, 60 days, 1 % GSW samples.
-    let dataset = generate_dataset(&DatasetConfig::new(2_000, 60, SEED)).expect("dataset");
-    let config = EngineConfig {
-        layer_rates: vec![0.01],
-        default_rate: 0.01,
-        // Per-statement work is tiny; parallelism comes from the client
-        // threads, not from intra-query scans.
-        threads: 1,
-        ..Default::default()
-    };
-    let catalog = SampleCatalog::build(&dataset.table, &config).expect("catalog");
-    let engine = FlashPEngine::with_catalog(dataset.table, config, catalog);
-
-    let sql = "FORECAST SUM(Impression) FROM ads WHERE age <= 30 AND gender = 'F' \
-               USING (20200101, 20200130) OPTION (MODEL = 'naive', FORE_PERIOD = 7)";
-    let prepared = engine.prepare(sql).expect("prepare");
-
-    println!("\nquery pipeline: statements/sec at rate 0.01 ({STATEMENTS} statements/thread)");
-    let mut modes = Vec::new();
-    for threads in [1usize, 8] {
-        // One-shot: parse + plan + execute on every call (the pre-staged
-        // API's behavior; run_forecast bypasses the plan cache).
-        let one_shot = statements_per_sec(threads, || {
-            let stmt = match parse(sql).expect("parse") {
-                Statement::Forecast(f) => f,
-                _ => unreachable!(),
-            };
-            engine.run_forecast(&stmt).expect("one-shot forecast");
-        });
-        // Cached: the string API served from the LRU plan cache.
-        let cached = statements_per_sec(threads, || {
-            engine.forecast(sql).expect("cached forecast");
-        });
-        // Prepared: plan owned by the statement, no parsing, no lock.
-        let prepared_rate = statements_per_sec(threads, || {
-            prepared.forecast_with(&[]).expect("prepared forecast");
-        });
-        println!(
-            "{threads} thread(s): one-shot {one_shot:>9.0}   plan-cache {cached:>9.0}   \
-             prepared {prepared_rate:>9.0}   (prepared/one-shot {:.2}x)",
-            prepared_rate / one_shot
-        );
-        modes.push(json!({
-            "threads": threads,
-            "one_shot_stmts_per_sec": one_shot,
-            "plan_cache_stmts_per_sec": cached,
-            "prepared_stmts_per_sec": prepared_rate,
-            "prepared_vs_one_shot_speedup": prepared_rate / one_shot,
-        }));
-    }
-    // Parameterized range: ONE prepared `USING (?, ?)` handle re-bound
-    // across rotating training windows (clamp + layer selection per
-    // binding, repeats served from the specialization cache) vs a fresh
-    // parse + plan of each literal-window statement.
-    let dyn_sql = "FORECAST SUM(Impression) FROM ads WHERE age <= 30 AND gender = 'F' \
-                   USING (?, ?) OPTION (MODEL = 'naive', FORE_PERIOD = 7)";
-    let dyn_prepared = engine.prepare(dyn_sql).expect("prepare dynamic range");
-    const WINDOWS: &[(i64, i64)] =
-        &[(20200101, 20200130), (20200108, 20200206), (20200115, 20200213), (20200122, 20200220)];
-    let literal_for = |lo: i64, hi: i64| {
-        format!(
-            "FORECAST SUM(Impression) FROM ads WHERE age <= 30 AND gender = 'F' \
-             USING ({lo}, {hi}) OPTION (MODEL = 'naive', FORE_PERIOD = 7)"
-        )
-    };
-    println!("\nparameterized range: rotating {}-window dashboard", WINDOWS.len());
-    let mut param_modes = Vec::new();
-    for threads in [1usize, 8] {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let next = AtomicUsize::new(0);
-        let one_shot = statements_per_sec(threads, || {
-            let (lo, hi) = WINDOWS[next.fetch_add(1, Ordering::Relaxed) % WINDOWS.len()];
-            let stmt = match parse(&literal_for(lo, hi)).expect("parse") {
-                Statement::Forecast(f) => f,
-                _ => unreachable!(),
-            };
-            engine.run_forecast(&stmt).expect("one-shot rotating forecast");
-        });
-        let next = AtomicUsize::new(0);
-        let rebound = statements_per_sec(threads, || {
-            let (lo, hi) = WINDOWS[next.fetch_add(1, Ordering::Relaxed) % WINDOWS.len()];
-            dyn_prepared
-                .forecast_with(&[Literal::Int(lo), Literal::Int(hi)])
-                .expect("rebound forecast");
-        });
-        println!(
-            "{threads} thread(s): one-shot {one_shot:>9.0}   rebound prepared {rebound:>9.0}   \
-             (rebound/one-shot {:.2}x)",
-            rebound / one_shot
-        );
-        param_modes.push(json!({
-            "threads": threads,
-            "one_shot_stmts_per_sec": one_shot,
-            "rebound_prepared_stmts_per_sec": rebound,
-            "rebound_vs_one_shot_speedup": rebound / one_shot,
-        }));
-    }
-
-    let doc = json!({
-        "bench": "BENCH_query",
-        "statement": sql,
-        "rate": 0.01,
-        "statements_per_thread": STATEMENTS,
-        "unit": "statements_per_sec",
-        "kernel_tier": simd::active_tier().name(),
-        "modes": modes,
-        "parameterized_range": {
-            "statement": dyn_sql,
-            "windows": WINDOWS.iter().map(|(lo, hi)| json!([lo, hi])).collect::<Vec<_>>(),
-            "modes": param_modes,
-        },
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n").unwrap();
-    println!("wrote {path}");
-}
-
-/// Median seconds per call over `reps` timed calls (after warmup).
-fn time_median_k<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    for _ in 0..2 {
-        black_box(f());
-    }
-    let mut times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        black_box(f());
-        times.push(t.elapsed().as_secs_f64());
-    }
-    times.sort_by(f64::total_cmp);
-    times[reps / 2]
-}
-
-/// Part 3: live-ingest throughput and publish latency
-/// (`BENCH_ingest.json`).
-fn ingest_report() {
-    let rows_per_day = 5_000usize;
-    let dataset_config = DatasetConfig::new(rows_per_day, 90, SEED);
-    let dataset = generate_dataset(&dataset_config).expect("dataset");
-    let config = EngineConfig {
-        layer_rates: vec![0.05, 0.01],
-        default_rate: 0.01,
-        threads: 1,
-        ..Default::default()
-    };
-    let catalog = SampleCatalog::build(&dataset.table, &config).expect("catalog");
-    let engine = FlashPEngine::with_catalog(dataset.table, config.clone(), catalog);
-
-    let sql = "FORECAST SUM(Impression) FROM ads WHERE age <= 30 \
-               USING (20200201, 20200330) OPTION (MODEL = 'naive', FORE_PERIOD = 7)";
-    let prepared = engine.prepare(sql).expect("prepare");
-    let query_before = time_median_k(15, || prepared.forecast_with(&[]).expect("forecast"));
-
-    // Staging throughput: columnar day-batches into the pending table.
-    let mut stream =
-        BatchStream::continuing(&dataset_config, StreamConfig::new(rows_per_day, SEED));
-    let staged_batches = 5usize;
-    let stage_t0 = Instant::now();
-    for _ in 0..staged_batches {
-        let b = stream.next().expect("unbounded stream");
-        let mut batch = IngestBatch::new();
-        batch.push_partition(b.t, b.partition);
-        engine.ingest(batch).expect("ingest");
-    }
-    let ingest_rows_per_sec =
-        (staged_batches * rows_per_day) as f64 / stage_t0.elapsed().as_secs_f64();
-
-    // Publish the 5 staged days at once, then measure steady-state
-    // publish latency: one new day per publish, then repeated growth of
-    // one existing day (the §4.1 absorb path).
-    engine.publish().expect("publish staged days");
-    let mut new_day_secs = Vec::new();
-    for _ in 0..5 {
-        let b = stream.next().expect("unbounded stream");
-        let mut batch = IngestBatch::new();
-        batch.push_partition(b.t, b.partition);
-        engine.ingest(batch).expect("ingest");
-        let stats = engine.publish().expect("publish");
-        assert_eq!(stats.changed_partitions, 1);
-        new_day_secs.push(stats.duration.as_secs_f64());
-    }
-    new_day_secs.sort_by(f64::total_cmp);
-    let publish_new_day = new_day_secs[new_day_secs.len() / 2];
-
-    let grow_day = 95usize; // an already-published streamed day
-    let mut grow_secs = Vec::new();
-    let mut absorbed_cells = 0usize;
-    let mut rebuilt_cells = 0usize;
-    let mut grow_stream = BatchStream::starting_at_day(
-        &dataset_config,
-        StreamConfig::new(rows_per_day / 5, SEED ^ 0x517),
-        grow_day,
-    );
-    for _ in 0..5 {
-        let b = grow_stream.next().expect("unbounded stream");
-        let mut batch = IngestBatch::new();
-        batch.push_partition(b.t, b.partition);
-        engine.ingest(batch).expect("ingest");
-        let stats = engine.publish().expect("publish");
-        absorbed_cells += stats.delta.absorbed_cells;
-        rebuilt_cells += stats.delta.rebuilt_cells;
-        grow_secs.push(stats.duration.as_secs_f64());
-    }
-    grow_secs.sort_by(f64::total_cmp);
-    let publish_grow_day = grow_secs[grow_secs.len() / 2];
-
-    // Baseline: a full offline rebuild over the post-ingest table.
-    let table = engine.table();
-    let full_rebuild = time_median_k(3, || SampleCatalog::build(&table, &config).expect("build"));
-
-    // Post-swap query latency from the *same* prepared handle.
-    let query_after = time_median_k(15, || prepared.forecast_with(&[]).expect("forecast"));
-
-    // Parallel work-queue scaling: the full offline build and a
-    // multi-day bulk-backfill apply_delta, at increasing worker counts.
-    // Cell seeds are scheduling-independent, so every row of this table
-    // is bit-for-bit the same catalog.
-    let worker_counts = [1usize, 2, 4];
-    let build_secs: Vec<f64> = worker_counts
-        .iter()
-        .map(|&threads| {
-            let cfg = EngineConfig { threads, ..config.clone() };
-            time_median_k(3, || SampleCatalog::build(&table, &cfg).expect("build"))
-        })
-        .collect();
-    let build_scaling: Vec<serde_json::Value> = worker_counts
-        .iter()
-        .zip(&build_secs)
-        .map(|(&threads, &secs)| json!({ "threads": threads, "secs": secs }))
-        .collect();
-
-    // A 10-day backfill: the apply_delta shape the work queue exists for
-    // (a 1-day publish has too few changed cells to parallelize).
-    let backfill_catalog = SampleCatalog::build(&table, &config).expect("catalog");
-    let mut backfill_table = (*table).clone();
-    let mut backfill_delta = CatalogDelta::default();
-    let mut backfill_stream = BatchStream::starting_at_day(
-        &dataset_config,
-        StreamConfig::new(rows_per_day, SEED ^ 0x9E37),
-        200,
-    );
-    let backfill_days = 10usize;
-    for _ in 0..backfill_days {
-        let b = backfill_stream.next().expect("unbounded stream");
-        let n = b.partition.num_rows();
-        backfill_table.append_partition(b.t, b.partition).expect("append");
-        backfill_delta.record(b.t, n);
-    }
-    let delta_secs: Vec<f64> = worker_counts
-        .iter()
-        .map(|&threads| {
-            let cfg = EngineConfig { threads, ..config.clone() };
-            time_median_k(3, || {
-                backfill_catalog.apply_delta(&backfill_table, &cfg, &backfill_delta).expect("delta")
-            })
-        })
-        .collect();
-    let delta_scaling: Vec<serde_json::Value> = worker_counts
-        .iter()
-        .zip(&delta_secs)
-        .map(|(&threads, &secs)| json!({ "threads": threads, "secs": secs }))
-        .collect();
-    let best = |secs: &[f64]| secs.iter().copied().fold(f64::INFINITY, f64::min);
-    println!(
-        "catalog build (work queue)   {:>9.1} ms sequential, {:>8.1} ms best ({:.2}x over {:?} workers)",
-        build_secs[0] * 1e3,
-        best(&build_secs) * 1e3,
-        build_secs[0] / best(&build_secs),
-        worker_counts,
-    );
-    println!(
-        "apply_delta ({backfill_days}-day backfill) {:>9.1} ms sequential, {:>8.1} ms best ({:.2}x over {:?} workers)",
-        delta_secs[0] * 1e3,
-        best(&delta_secs) * 1e3,
-        delta_secs[0] / best(&delta_secs),
-        worker_counts,
-    );
-
-    println!("\nlive ingest ({rows_per_day} rows/day, {} days + streamed):", 90);
-    println!("ingest staging           {ingest_rows_per_sec:>12.0} rows/s");
-    println!(
-        "publish (1 new day)      {:>12.2} ms   vs full rebuild {:>8.1} ms ({:.1}x)",
-        publish_new_day * 1e3,
-        full_rebuild * 1e3,
-        full_rebuild / publish_new_day
-    );
-    println!(
-        "publish (grow 1 day)     {:>12.2} ms   ({} cells absorbed, {} rebuilt over 5 publishes)",
-        publish_grow_day * 1e3,
-        absorbed_cells,
-        rebuilt_cells
-    );
-    println!(
-        "prepared query latency   {:>12.2} ms before ingest, {:.2} ms after swap",
-        query_before * 1e3,
-        query_after * 1e3
-    );
-
-    let doc = json!({
-        "bench": "BENCH_ingest",
-        "rows_per_day": rows_per_day,
-        "base_days": 90,
-        "layer_rates": [0.05, 0.01],
-        "seed": SEED,
-        "kernel_tier": simd::active_tier().name(),
-        "ingest_rows_per_sec": ingest_rows_per_sec,
-        "publish_new_day_secs": publish_new_day,
-        "publish_grow_day_secs": publish_grow_day,
-        "full_rebuild_secs": full_rebuild,
-        "full_rebuild_vs_publish_speedup": full_rebuild / publish_new_day,
-        "grow_absorbed_cells": absorbed_cells,
-        "grow_rebuilt_cells": rebuilt_cells,
-        "prepared_query_secs_before": query_before,
-        "prepared_query_secs_after_swap": query_after,
-        "catalog_build_scaling": build_scaling,
-        "apply_delta_backfill_days": backfill_days,
-        "apply_delta_backfill_scaling": delta_scaling,
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
     std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n").unwrap();
     println!("wrote {path}");
 }

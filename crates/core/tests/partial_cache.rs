@@ -202,6 +202,70 @@ fn publish_invalidates_exactly_the_changed_days() {
     assert_forecast_bits_eq(&want, &got, "post-publish warm re-run");
 }
 
+/// The concurrent form of the test above: one cached prepared handle
+/// keeps replaying every window while a publisher thread grows days
+/// inside them and publishes. Once the publisher is done, the handle
+/// that lived through the version swaps answers every window
+/// bit-identically to a fresh cache-disabled engine over the final
+/// table, and a second replay is served entirely warm.
+#[test]
+fn warm_handle_matches_the_oracle_after_concurrent_publishes() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let cached = engine(29, true);
+    let f = cached.prepare(FORECAST_TEMPLATE).unwrap();
+    let replay = || {
+        for (lo, hi) in WINDOWS {
+            f.forecast_with(&[Literal::Int(lo), Literal::Int(hi)]).unwrap();
+        }
+    };
+    replay();
+
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for day in [20200108, 20200111, 20200114] {
+                let mut batch = IngestBatch::new();
+                for row in 0..60 {
+                    ads_row(&mut batch, day, row);
+                }
+                cached.ingest(batch).unwrap();
+                assert_eq!(cached.publish().unwrap().changed_partitions, 1, "grow {day}");
+            }
+            done.store(true, Ordering::Release);
+        });
+        loop {
+            replay();
+            if done.load(Ordering::Acquire) {
+                break;
+            }
+        }
+    });
+
+    let final_table = cached.table();
+    let oracle_config = config(false);
+    let catalog = SampleCatalog::build(&final_table, &oracle_config).unwrap();
+    let oracle = FlashPEngine::with_catalog(final_table, oracle_config, catalog);
+    let f_oracle = oracle.prepare(FORECAST_TEMPLATE).unwrap();
+    for (lo, hi) in WINDOWS {
+        let params = [Literal::Int(lo), Literal::Int(hi)];
+        let want = f_oracle.forecast_with(&params).unwrap();
+        let got = f.forecast_with(&params).unwrap();
+        assert_forecast_bits_eq(&want, &got, &format!("post-publish USING ({lo}, {hi})"));
+    }
+
+    if cache_active() {
+        let before = cached.partial_cache_stats().expect("cache on");
+        assert!(before.hits > 0 && before.misses > 0, "replays must use the cache: {before:?}");
+        replay();
+        let after = cached.partial_cache_stats().unwrap();
+        // Every window lies inside January, so YYYYMMDD differences are day counts.
+        let window_days: u64 = WINDOWS.iter().map(|(lo, hi)| (hi - lo + 1) as u64).sum();
+        assert_eq!(after.misses, before.misses, "a settled handle must not miss: {after:?}");
+        assert_eq!(after.hits - before.hits, window_days, "every day must be warm: {after:?}");
+    }
+}
+
 /// The cache lives per slot under sharding, so a warm sharded engine
 /// stays shard-count invariant: every binding is run twice at N = 1, 2,
 /// and 8 shards and the warm answers compared bit-for-bit against the

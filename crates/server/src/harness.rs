@@ -1,17 +1,14 @@
-//! Closed-loop load generation against a running server.
+//! A blocking protocol client and reply predicates.
 //!
-//! Each client is one blocking connection issuing requests back-to-back
-//! (closed loop: the next request starts when the previous response
-//! lands), so measured latency includes queueing under contention —
-//! the service-level number, not the engine-level one. An optional
-//! publisher connection ingests and publishes concurrently, exercising
-//! catalog-version swaps under live query load.
+//! [`Client`] is one `std::net` connection that sends a request line and
+//! reads back the one JSON response line; [`is_ok`] and
+//! [`has_error_code`] classify that line without parsing it. The server
+//! test suites, the `tcp_service` example and the standalone wire
+//! benchmark all drive a running server through these.
 
 use crate::protocol::ErrorCode;
-use serde_json::{json, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
 
 /// A minimal blocking protocol client: one request line out, one JSON
 /// response line back.
@@ -56,212 +53,4 @@ pub fn is_ok(line: &str) -> bool {
 /// Whether a response line carries the given typed error code.
 pub fn has_error_code(line: &str, code: ErrorCode) -> bool {
     line.contains(&format!(r#""code":"{}""#, code.as_str()))
-}
-
-/// One load-harness run's shape.
-#[derive(Debug, Clone)]
-pub struct LoadConfig {
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Statements each client issues after its `PREPARE`.
-    pub statements_per_client: usize,
-    /// Run a concurrent publisher connection (`INGEST` + `PUBLISH`
-    /// every few milliseconds) for the duration of the run.
-    pub with_publisher: bool,
-}
-
-/// What a load run measured.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Concurrent clients driven.
-    pub clients: usize,
-    /// Statements answered `ok`.
-    pub ok: u64,
-    /// Statements rejected `busy`.
-    pub busy: u64,
-    /// Other error responses (should be 0 in a healthy run).
-    pub errors: u64,
-    /// Publishes completed by the concurrent publisher.
-    pub publishes: u64,
-    /// Wall-clock duration of the measured phase.
-    pub elapsed: Duration,
-    /// Median per-statement latency (client-observed), microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: u64,
-    /// Completed statements per second across all clients.
-    pub statements_per_sec: f64,
-}
-
-impl LoadReport {
-    /// Render for `BENCH_service.json`.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "clients": self.clients,
-            "ok": self.ok,
-            "busy": self.busy,
-            "errors": self.errors,
-            "publishes": self.publishes,
-            "elapsed_secs": self.elapsed.as_secs_f64(),
-            "p50_us": self.p50_us,
-            "p99_us": self.p99_us,
-            "statements_per_sec": self.statements_per_sec,
-        })
-    }
-}
-
-/// The statement mix each client drives: a prepared approximate
-/// grouped SELECT re-bound with a rotating age predicate — the
-/// plan-cache-free hot path a dashboard fan-out produces.
-const PREPARE_LINE: &str = "PREPARE hot AS SELECT SUM(Impression) FROM ads \
-     WHERE age <= ? AND t BETWEEN 20200105 AND 20200125 GROUP BY t \
-     OPTION (SAMPLE_RATE = 0.05)";
-
-/// Drive a closed loop against `addr`. Panics on I/O failure (the
-/// harness runs against a server the caller just started).
-pub fn run_closed_loop(addr: std::net::SocketAddr, config: &LoadConfig) -> LoadReport {
-    let stop_publisher = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let publisher = config.with_publisher.then(|| {
-        let stop = stop_publisher.clone();
-        std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("publisher connect");
-            let mut publishes = 0u64;
-            let mut day = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                // One fresh row on a rotating existing day, then publish:
-                // every cycle swaps the catalog version under the load.
-                let t = 20200105 + (day % 20);
-                day += 1;
-                let row = format!(
-                    "INGEST ({t}, 30, 'F', 'city_01', 'mobile', 'ios', 1, 1, 1, 'search', 1, 1, \
-                     12.0, 3.0, 1.0, 0.5)"
-                );
-                let r = client.roundtrip(&row).expect("ingest");
-                assert!(is_ok(&r), "ingest failed: {r}");
-                let r = client.roundtrip("PUBLISH").expect("publish");
-                assert!(is_ok(&r), "publish failed: {r}");
-                publishes += 1;
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            publishes
-        })
-    });
-
-    let started = Instant::now();
-    let results: Vec<(Vec<u64>, u64, u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("client connect");
-                    let r = client.roundtrip(PREPARE_LINE).expect("prepare");
-                    assert!(is_ok(&r), "prepare failed: {r}");
-                    let mut latencies = Vec::with_capacity(config.statements_per_client);
-                    let (mut ok, mut busy, mut errors) = (0u64, 0u64, 0u64);
-                    for i in 0..config.statements_per_client {
-                        let age = 20 + ((c + i) % 40);
-                        let line = format!("EXECUTE hot ({age})");
-                        let t0 = Instant::now();
-                        let resp = client.roundtrip(&line).expect("execute");
-                        latencies.push(t0.elapsed().as_micros() as u64);
-                        if is_ok(&resp) {
-                            ok += 1;
-                        } else if has_error_code(&resp, ErrorCode::Busy) {
-                            busy += 1;
-                        } else {
-                            errors += 1;
-                        }
-                    }
-                    let _ = client.roundtrip("CLOSE");
-                    (latencies, ok, busy, errors)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
-    });
-    let elapsed = started.elapsed();
-
-    stop_publisher.store(true, std::sync::atomic::Ordering::Relaxed);
-    let publishes = publisher.map(|h| h.join().expect("publisher thread")).unwrap_or(0);
-
-    let mut latencies: Vec<u64> = Vec::new();
-    let (mut ok, mut busy, mut errors) = (0u64, 0u64, 0u64);
-    for (lats, o, b, e) in results {
-        latencies.extend(lats);
-        ok += o;
-        busy += b;
-        errors += e;
-    }
-    latencies.sort_unstable();
-    let quantile = |q: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-        latencies[idx - 1]
-    };
-    LoadReport {
-        clients: config.clients,
-        ok,
-        busy,
-        errors,
-        publishes,
-        elapsed,
-        p50_us: quantile(0.50),
-        p99_us: quantile(0.99),
-        statements_per_sec: ok as f64 / elapsed.as_secs_f64().max(1e-9),
-    }
-}
-
-/// Run the standard 1/8/64/256-client sweep (with a concurrent
-/// publisher) against a freshly started server over a synthetic ads
-/// dataset, and return the `BENCH_service.json` document. Shared by
-/// `service_bench` and `bench_report`.
-pub fn service_report() -> Value {
-    use flashp_core::{EngineConfig, FlashPEngine, SampleCatalog, SamplerChoice};
-    use flashp_data::{generate_dataset, DatasetConfig};
-
-    let ds = generate_dataset(&DatasetConfig::new(2_000, 30, 11)).expect("dataset");
-    let engine_config = EngineConfig {
-        sampler: SamplerChoice::OptimalGsw,
-        layer_rates: vec![0.2, 0.05],
-        default_rate: 0.05,
-        ..Default::default()
-    };
-    let catalog = SampleCatalog::build(&ds.table, &engine_config).expect("catalog");
-    let engine = FlashPEngine::with_catalog(ds.table, engine_config, catalog);
-
-    // At least two workers even on single-CPU hosts so the sweep always
-    // measures the pool path, not a serial worker.
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(2, 16);
-    let mut handle = crate::server::serve(
-        engine,
-        crate::server::ServerConfig { workers, queue_depth: 512, ..Default::default() },
-    )
-    .expect("server start");
-    let addr = handle.local_addr();
-
-    let mut parts = Vec::new();
-    for clients in [1usize, 8, 64, 256] {
-        // Keep total statements roughly level so the sweep stays fast
-        // while every client still gets a meaningful sample.
-        let statements_per_client = (4096 / clients).max(8);
-        let report = run_closed_loop(
-            addr,
-            &LoadConfig { clients, statements_per_client, with_publisher: true },
-        );
-        assert_eq!(report.errors, 0, "load run hit non-busy errors");
-        parts.push(report.to_json());
-    }
-    let drain = handle.shutdown();
-    json!({
-        "bench": "BENCH_service",
-        "workers": workers,
-        "queue_depth": 512,
-        "runs": parts,
-        "drained": {
-            "completed": drain.completed,
-            "busy_rejections": drain.busy_rejections,
-            "reply_timeouts": drain.reply_timeouts,
-        },
-    })
 }

@@ -2,7 +2,7 @@
 //!
 //! A multi-tenant query service frontend for the FlashP engine: TCP in,
 //! JSON lines out, with per-connection sessions, first-class admission
-//! control, and a closed-loop load harness.
+//! control, and a blocking protocol client.
 //!
 //! The wire protocol is newline-delimited text ([`protocol`]): each
 //! request line is a statement of the task language (`FORECAST` /
@@ -20,10 +20,12 @@
 //! under every session's handles mid-flight, which is exactly what the
 //! oracle tests assert stays bit-identical to in-process execution.
 //!
-//! The closed-loop harness ([`harness`]) drives 1/8/64/256 concurrent
-//! clients (optionally with a concurrent publisher) and reports
-//! p50/p99/throughput — `cargo run -p flashp-server --release --bin
-//! service_bench` writes `BENCH_service.json` at the repo root.
+//! [`harness`] holds the client side: [`Client`], one blocking
+//! connection that sends a request line and reads the one response line
+//! back, and the reply predicates [`harness::is_ok`] and
+//! [`harness::has_error_code`]. The test suites, the examples and the
+//! standalone wire benchmark under `benchmark/` talk to the server
+//! through it.
 
 #![warn(missing_docs)]
 
@@ -35,7 +37,7 @@ pub mod session;
 pub mod stats;
 
 pub use backend::{Backend, PreparedHandle};
-pub use harness::{run_closed_loop, Client, LoadConfig, LoadReport};
+pub use harness::Client;
 pub use protocol::{parse_command, Command, ErrorCode};
 pub use server::{serve, serve_backend, DrainReport, ServerConfig, ServerHandle};
 pub use session::Session;
