@@ -20,13 +20,15 @@
 //! re-snapshot per execution, so the same prepared handle serves fresh
 //! data after each publish.
 //!
-//! One-shot [`FlashPEngine::execute`] keeps an LRU plan cache keyed on the
-//! normalized statement text and scoped to the version it was planned
-//! against; a publish invalidates the replaced version's entries.
+//! One-shot [`FlashPEngine::execute`] keeps a bounded plan cache keyed on
+//! the normalized statement text and the version it was planned against
+//! (eviction follows the guarantee in `bounded.rs`); a publish
+//! invalidates the replaced version's entries.
 //! [`FlashPEngine::prepare`] goes further and returns a
 //! [`PreparedQuery`] that owns its plan and compiled predicate — the hot
 //! path for a service loop, with no lock on the execution path.
 
+use crate::bounded::BoundedMap;
 use crate::catalog::{BuildStats, SampleCatalog};
 use crate::config::EngineConfig;
 use crate::error::EngineError;
@@ -38,9 +40,7 @@ use crate::result::{ExecOutput, ForecastResult, SelectResult, SeriesPoint};
 use crate::version::{CatalogDelta, CatalogVersion, IngestBatch, PublishStats};
 use flashp_query::{parse, ForecastStmt, SelectStmt, Statement};
 use flashp_storage::{AggFunc, CompiledPredicate, TimeSeriesTable, Timestamp};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 /// Default number of plans the statement cache retains.
@@ -79,95 +79,39 @@ pub struct EngineStats {
     pub pending_partitions: usize,
 }
 
-/// LRU plan cache keyed on normalized statement text. Shared (via `Arc`)
-/// by every clone of an engine handle. Only the one-shot string APIs
-/// touch it; prepared queries bypass it entirely.
+/// Plan cache keyed on `(normalized statement text, version)`, bounded by
+/// the two-generation policy of `bounded.rs`. Shared (via `Arc`) by every
+/// clone of an engine handle. Only the one-shot string APIs touch it;
+/// prepared queries bypass it entirely.
 ///
-/// Every entry records the [`CatalogVersion::version`] it was planned
+/// The version is the [`CatalogVersion::version`] a plan was made
 /// against: plans embed layer indices, clamped time ranges and
 /// dictionary-folded predicates, all of which a publish may invalidate,
 /// so a lookup only hits when the requesting handle's active version
 /// matches. [`PlanCache::purge_version`] drops a replaced version's
 /// entries eagerly after a swap.
-struct PlanCache {
-    capacity: usize,
-    inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-struct CacheEntry {
-    last_used: u64,
-    /// [`CatalogVersion::version`] of the planning snapshot.
-    version: u64,
-    plan: Arc<LogicalPlan>,
-}
-
-struct CacheInner {
-    map: HashMap<String, CacheEntry>,
-    tick: u64,
-}
+struct PlanCache(Mutex<BoundedMap<(String, u64), Arc<LogicalPlan>>>);
 
 impl PlanCache {
     fn new(capacity: usize) -> Self {
-        PlanCache {
-            capacity,
-            inner: Mutex::new(CacheInner { map: HashMap::new(), tick: 0 }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        PlanCache(Mutex::new(BoundedMap::new(capacity)))
     }
 
-    fn get(&self, key: &str, version: u64) -> Option<Arc<LogicalPlan>> {
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) if entry.version == version => {
-                entry.last_used = tick;
-                let plan = entry.plan.clone();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(plan)
-            }
-            // A plan over a different version is useless to this handle:
-            // miss and re-plan. The entry stays — a successful re-plan
-            // overwrites it, while a handle that cannot plan (e.g. a clone
-            // with no catalog) must not evict another handle's good plan.
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, key: String, version: u64, plan: Arc<LogicalPlan>) {
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
-            // Evict the least recently used entry.
-            if let Some(lru) =
-                inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&lru);
-            }
-        }
-        inner.map.insert(key, CacheEntry { last_used: tick, version, plan });
+    fn map(&self) -> MutexGuard<'_, BoundedMap<(String, u64), Arc<LogicalPlan>>> {
+        self.0.lock().expect("plan cache poisoned")
     }
 
     /// Drop every entry scoped to `version` — called after a publish
     /// replaces that version, whose entries can never hit again (version
     /// numbers are process-unique and never reused).
     fn purge_version(&self, version: u64) {
-        self.inner.lock().expect("plan cache poisoned").map.retain(|_, e| e.version != version);
+        self.map().retain(|(_, v), _| *v != version);
     }
 
     fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.inner.lock().expect("plan cache poisoned").map.len(),
-        }
+        let map = self.map();
+        let (hits, misses, _) = map.counters();
+        PlanCacheStats { hits, misses, entries: map.len() }
     }
 }
 
@@ -567,18 +511,18 @@ impl FlashPEngine {
     }
 
     /// Resolve a one-shot statement string against `snapshot`: serve the
-    /// plan from the LRU cache when the normalized text matches and was
+    /// plan from the plan cache when the normalized text matches and was
     /// planned against the same version, otherwise parse + plan and
     /// cache. `EXPLAIN` statements plan but render instead of executing
     /// (and are never cached — their output *is* the plan).
     fn resolve(&self, snapshot: &CatalogVersion, sql: &str) -> Result<Resolved, EngineError> {
-        let key = normalize_sql(sql);
+        let key = (normalize_sql(sql), snapshot.version());
         // EXPLAIN statements bypass the cache outright — they are never
         // inserted, so probing would charge a phantom miss per call and
         // skew the hit-rate the stats report.
-        let cacheable = !key.get(..8).is_some_and(|p| p.eq_ignore_ascii_case("EXPLAIN "));
+        let cacheable = !key.0.get(..8).is_some_and(|p| p.eq_ignore_ascii_case("EXPLAIN "));
         if cacheable {
-            if let Some(plan) = self.plan_cache.get(&key, snapshot.version()) {
+            if let Some(plan) = self.plan_cache.map().get(&key) {
                 return Ok(Resolved::Plan(plan));
             }
         }
@@ -592,7 +536,7 @@ impl FlashPEngine {
             }
             stmt => {
                 let plan = Arc::new(self.planner(snapshot).plan(&stmt)?);
-                self.plan_cache.insert(key, snapshot.version(), plan.clone());
+                self.plan_cache.map().insert(key, plan.clone());
                 Ok(Resolved::Plan(plan))
             }
         }
@@ -1234,7 +1178,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_evicts_least_recently_used() {
+    fn plan_cache_keeps_touched_plans_and_scopes_versions() {
         let cache = PlanCache::new(2);
         let plan = || {
             Arc::new(LogicalPlan::Select(crate::planner::SelectPlan {
@@ -1254,23 +1198,28 @@ mod tests {
                 }),
             }))
         };
-        cache.insert("a".to_string(), 1, plan());
-        cache.insert("b".to_string(), 1, plan());
-        assert!(cache.get("a", 1).is_some()); // refresh a
-        cache.insert("c".to_string(), 1, plan()); // evicts b
-        assert!(cache.get("a", 1).is_some());
-        assert!(cache.get("b", 1).is_none());
-        assert!(cache.get("c", 1).is_some());
+        let insert = |sql: &str, version| cache.map().insert((sql.to_string(), version), plan());
+        let hit = |sql: &str, version| cache.map().get(&(sql.to_string(), version)).is_some();
+        insert("a", 1);
+        insert("b", 1);
+        assert!(hit("a", 1)); // touch a
+        insert("c", 1);
+        // a was touched within the last capacity / 2 inserts, so the
+        // bound keeps it; c is the newest; that leaves no room for b.
+        assert!(hit("a", 1));
+        assert!(!hit("b", 1));
+        assert!(hit("c", 1));
         assert_eq!(cache.stats().entries, 2);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (3, 1));
         // A different version never sees another version's plans, but the
         // entry survives for handles still serving its version.
-        assert!(cache.get("a", 2).is_none());
-        assert!(cache.get("a", 1).is_some());
+        assert!(!hit("a", 2));
+        assert!(hit("a", 1));
         // Purging a replaced version drops exactly its entries.
-        cache.insert("d".to_string(), 2, plan());
+        insert("d", 2);
         cache.purge_version(1);
-        assert!(cache.get("a", 1).is_none());
-        assert!(cache.get("d", 2).is_some());
+        assert!(!hit("a", 1));
+        assert!(hit("d", 2));
         assert_eq!(cache.stats().entries, 1);
     }
 

@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+mod bounded;
 pub mod catalog;
 pub mod config;
 pub mod engine;

@@ -51,13 +51,17 @@
 //! to every handle and prepared query. Under scatter-gather sharding each
 //! virtual slot is its own engine and therefore gets its own cache, so
 //! cached execution remains bit-for-bit invariant in the shard count.
+//!
+//! # Eviction
+//!
+//! Each lock shard is a two-generation `BoundedMap`, so eviction follows
+//! the guarantee stated in `bounded.rs`, per shard.
 
+use crate::bounded::BoundedMap;
 use crate::config::EngineConfig;
 use flashp_sampling::EstimateComponents;
 use flashp_storage::{AggState, CmpOp, CompiledPredicate, SumMode};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Total entry capacity of a [`PartialCache`] (across its internal lock
 /// shards). Each entry is a few dozen bytes, so the default bounds the
@@ -69,10 +73,13 @@ pub(crate) const PARTIAL_CACHE_CAPACITY: usize = 65_536;
 /// rarely contend.
 const LOCK_SHARDS: usize = 8;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the starting state of every hash built
+/// with `fnv`, here and in the shard router's `route_hash`.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte slice, continuing from `h`.
+#[inline]
 pub(crate) fn fnv(h: &mut u64, bytes: &[u8]) {
     for b in bytes {
         *h ^= u64::from(*b);
@@ -199,17 +206,6 @@ enum Partial {
     Exact(AggState),
 }
 
-struct Entry {
-    last_used: u64,
-    value: Partial,
-}
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<Key, Entry>,
-    tick: u64,
-}
-
 /// Counter snapshot of a [`PartialCache`] (or a sum over several — see
 /// [`PartialCacheStats::add`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -218,7 +214,7 @@ pub struct PartialCacheStats {
     pub hits: u64,
     /// Probes that required computing the day partial.
     pub misses: u64,
-    /// Entries displaced by the LRU bound.
+    /// Entries dropped by the capacity bound (see the module docs).
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -235,68 +231,39 @@ impl PartialCacheStats {
     }
 }
 
-/// Sharded, bounded LRU of day partials. See the module docs for key
-/// derivation and invalidation; construction and placement live in the
-/// engine (`EngineShared`).
+/// Sharded, bounded cache of day partials. See the module docs for key
+/// derivation, invalidation and eviction; construction and placement live
+/// in the engine (`EngineShared`).
 pub struct PartialCache {
-    shards: Vec<Mutex<Shard>>,
-    per_shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    shards: Vec<Mutex<BoundedMap<Key, Partial>>>,
 }
 
 impl std::fmt::Debug for PartialCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("PartialCache")
-            .field("capacity", &(self.per_shard_capacity * LOCK_SHARDS))
-            .field("stats", &stats)
-            .finish()
+        f.debug_struct("PartialCache").field("stats", &self.stats()).finish()
     }
 }
 
 impl PartialCache {
-    /// A cache bounded at `capacity` total entries.
+    /// A cache bounded at `capacity` total entries (at least two per lock
+    /// shard).
     pub(crate) fn new(capacity: usize) -> Self {
+        let per_shard = capacity.div_ceil(LOCK_SHARDS).max(2);
         PartialCache {
-            shards: (0..LOCK_SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity: capacity.div_ceil(LOCK_SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            shards: (0..LOCK_SHARDS).map(|_| Mutex::new(BoundedMap::new(per_shard))).collect(),
         }
+    }
+
+    fn shard(&self, key: &Key) -> MutexGuard<'_, BoundedMap<Key, Partial>> {
+        self.shards[key.shard()].lock().expect("partial cache poisoned")
     }
 
     fn get(&self, key: Key) -> Option<Partial> {
-        let mut shard = self.shards[key.shard()].lock().unwrap();
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.map.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.value)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.shard(&key).get(&key)
     }
 
     fn insert(&self, key: Key, value: Partial) {
-        let mut shard = self.shards[key.shard()].lock().unwrap();
-        shard.tick += 1;
-        let tick = shard.tick;
-        if shard.map.len() >= self.per_shard_capacity && !shard.map.contains_key(&key) {
-            if let Some(oldest) = shard.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k)
-            {
-                shard.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard.map.insert(key, Entry { last_used: tick, value });
+        self.shard(&key).insert(key, value);
     }
 
     /// Look up the memoized components of sampled cell `cell` under
@@ -358,21 +325,22 @@ impl PartialCache {
     }
 
     /// Whether the sampled-component entry for `(cell, pred, measure)` is
-    /// resident, without bumping any counter or LRU clock. EXPLAIN uses
-    /// this to render the warm/cold day split of a bound window.
+    /// resident, without bumping any counter or moving the entry. EXPLAIN
+    /// uses this to render the warm/cold day split of a bound window.
     pub(crate) fn peek_components(&self, cell: u64, pred: u64, measure: usize) -> bool {
         let key = Key { cell, pred, measure: measure as u32, kind: KIND_SAMPLED };
-        self.shards[key.shard()].lock().unwrap().map.contains_key(&key)
+        self.shard(&key).contains(&key)
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot, summed over the lock shards.
     pub fn stats(&self) -> PartialCacheStats {
-        PartialCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum(),
+        let mut stats = PartialCacheStats::default();
+        for shard in &self.shards {
+            let map = shard.lock().expect("partial cache poisoned");
+            let (hits, misses, evictions) = map.counters();
+            stats.add(&PartialCacheStats { hits, misses, evictions, entries: map.len() });
         }
+        stats
     }
 }
 
@@ -413,8 +381,9 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_and_counts() {
-        let cache = PartialCache::new(LOCK_SHARDS); // one entry per lock shard
+    fn bounded_eviction_counts_and_keeps_the_newest() {
+        let capacity = 2 * LOCK_SHARDS; // two entries per lock shard
+        let cache = PartialCache::new(capacity);
         let c = EstimateComponents { sum_hat: 1.0, ..Default::default() };
         for cell in 0..64u64 {
             assert!(cache.get_components(cell, 7, 0).is_none());
@@ -422,12 +391,112 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!(stats.misses, 64);
-        assert_eq!(stats.entries, LOCK_SHARDS);
-        assert_eq!(stats.evictions as usize, 64 - LOCK_SHARDS);
-        // Most-recent inserts are resident.
+        // Every lock shard saw more than two keys, so each holds its full
+        // two and dropped the rest.
+        assert_eq!(stats.entries, capacity);
+        assert_eq!(stats.evictions as usize, 64 - capacity);
+        // The newest insert is resident, and peeking sees exactly the
+        // resident set.
+        assert!(cache.peek_components(63, 7, 0));
         let resident = (0..64u64).filter(|&cell| cache.peek_components(cell, 7, 0)).count();
-        assert_eq!(resident, LOCK_SHARDS);
+        assert_eq!(resident, capacity);
         assert_eq!(cache.stats().hits, 0, "peek must not count");
+    }
+
+    #[test]
+    fn full_default_cache_inserts_in_constant_time() {
+        let cache = PartialCache::new(PARTIAL_CACHE_CAPACITY);
+        let c = EstimateComponents::default();
+        let inserts = 200_000u64;
+        let start = std::time::Instant::now();
+        for cell in 0..inserts {
+            cache.put_components(cell, 7, 0, c);
+        }
+        let elapsed = start.elapsed();
+        let stats = cache.stats();
+        assert!(stats.entries <= PARTIAL_CACHE_CAPACITY);
+        assert_eq!(stats.evictions + stats.entries as u64, inserts);
+        assert!(elapsed < std::time::Duration::from_secs(2), "{inserts} inserts took {elapsed:?}");
+    }
+
+    #[test]
+    fn evicting_cache_assembles_answers_bit_identical_to_uncached() {
+        use crate::catalog::SampleCatalog;
+        use crate::config::SamplerChoice;
+        use crate::planner::{LogicalPlan, Planner};
+        use crate::prepared::ExecCtx;
+
+        let table = crate::test_support::test_table();
+        let config = EngineConfig {
+            layer_rates: vec![0.2],
+            sampler: SamplerChoice::OptimalGsw,
+            ..Default::default()
+        };
+        let catalog = SampleCatalog::build(&table, &config).unwrap();
+        let planner = Planner::new(&table, &config, Some(&catalog));
+        let cache = PartialCache::new(16);
+        let cached = ExecCtx {
+            table: &table,
+            config: &config,
+            catalog: Some(&catalog),
+            partial: Some(&cache),
+        };
+        let uncached = ExecCtx { partial: None, ..cached };
+        let plan = |sql: &str| planner.plan(&flashp_query::parse(sql).unwrap()).unwrap();
+
+        // Overlapping windows, the first one twice, so hits and evictions
+        // interleave within one assembly.
+        for (lo, hi) in [(20200101, 20200131), (20200105, 20200204), (20200110, 20200209)]
+            .into_iter()
+            .cycle()
+            .take(4)
+        {
+            let LogicalPlan::Forecast(p) = plan(&format!(
+                "FORECAST SUM(m1) FROM T WHERE seg <= 5 USING ({lo}, {hi}) \
+                 OPTION (MODEL = 'ar(7)', FORE_PERIOD = 5, SAMPLE_RATE = 0.2)"
+            )) else {
+                panic!("expected a forecast plan")
+            };
+            let (a, b) = (
+                cached.execute_forecast(&p, &[]).unwrap(),
+                uncached.execute_forecast(&p, &[]).unwrap(),
+            );
+            assert_eq!(a.estimates.len(), b.estimates.len());
+            for (x, y) in a.estimates.iter().zip(&b.estimates) {
+                assert_eq!(x.t, y.t);
+                assert_eq!(x.value.to_bits(), y.value.to_bits(), "estimate at {}", x.t);
+                assert_eq!(x.variance.map(f64::to_bits), y.variance.map(f64::to_bits));
+            }
+            assert_eq!(a.forecasts.len(), b.forecasts.len());
+            for (x, y) in a.forecasts.iter().zip(&b.forecasts) {
+                for (u, v) in
+                    [(x.value, y.value), (x.lo, y.lo), (x.hi, y.hi), (x.std_err, y.std_err)]
+                {
+                    assert_eq!(u.to_bits(), v.to_bits(), "forecast at {}", x.t);
+                }
+            }
+        }
+        let LogicalPlan::Select(p) = plan(
+            "SELECT SUM(m1) FROM T WHERE seg <= 5 AND t BETWEEN 20200101 AND 20200209 GROUP BY t",
+        ) else {
+            panic!("expected a select plan")
+        };
+        for _ in 0..2 {
+            let (a, b) = (
+                cached.execute_select(&p, &[]).unwrap(),
+                uncached.execute_select(&p, &[]).unwrap(),
+            );
+            assert_eq!(a.rows.len(), 40);
+            assert_eq!(a.rows.len(), b.rows.len());
+            for (x, y) in a.rows.iter().zip(&b.rows) {
+                assert_eq!(x.0, y.0);
+                assert_eq!(x.1.to_bits(), y.1.to_bits(), "exact SUM at {}", x.0);
+                assert_eq!(x.2.map(f64::to_bits), y.2.map(f64::to_bits));
+            }
+        }
+        let stats = cache.stats();
+        assert!(stats.evictions > 0, "{stats:?}");
+        assert!(stats.hits > 0, "{stats:?}");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! data after every [`crate::FlashPEngine::publish`], and no execution
 //! can ever straddle two versions.
 
+use crate::bounded::BoundedMap;
 use crate::catalog::SampleCatalog;
 use crate::config::EngineConfig;
 use crate::error::EngineError;
@@ -30,8 +31,7 @@ use flashp_storage::{
     AggFunc, CompiledPredicate, MaskScratch, ScanOptions, SumMode, TimeSeriesTable, Timestamp,
 };
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Total bind-time range specializations the engine-level [`SpecCache`]
@@ -51,66 +51,32 @@ struct SpecKey {
     range: Option<(i64, i64)>,
 }
 
-struct SpecEntry {
-    last_used: u64,
-    plan: Arc<LogicalPlan>,
-}
-
-#[derive(Default)]
-struct SpecInner {
-    map: HashMap<SpecKey, SpecEntry>,
-    tick: u64,
-}
-
 /// Engine-level bind-time specialization cache, shared by every prepared
 /// handle of one engine: `USING (?, ?)` plans specialized per
 /// (statement, version, resolved range), so two handles prepared from the
-/// same text share each window's specialization. Entries are
-/// version-scoped like one-shot plans; `FlashPEngine::publish` purges the
-/// replaced version's entries eagerly.
-pub(crate) struct SpecCache {
-    capacity: usize,
-    inner: Mutex<SpecInner>,
-}
+/// same text share each window's specialization. Eviction follows the
+/// guarantee in `bounded.rs`. Entries are version-scoped like one-shot
+/// plans; `FlashPEngine::publish` purges the replaced version's entries
+/// eagerly.
+pub(crate) struct SpecCache(Mutex<BoundedMap<SpecKey, Arc<LogicalPlan>>>);
 
 impl SpecCache {
     pub(crate) fn new(capacity: usize) -> Self {
-        SpecCache { capacity: capacity.max(1), inner: Mutex::new(SpecInner::default()) }
+        SpecCache(Mutex::new(BoundedMap::new(capacity)))
     }
 
-    fn get(&self, key: SpecKey) -> Option<Arc<LogicalPlan>> {
-        let mut inner = self.inner.lock().expect("spec cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.get_mut(&key).map(|e| {
-            e.last_used = tick;
-            e.plan.clone()
-        })
-    }
-
-    fn insert(&self, key: SpecKey, plan: Arc<LogicalPlan>) {
-        let mut inner = self.inner.lock().expect("spec cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
-            if let Some(oldest) = inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k)
-            {
-                inner.map.remove(&oldest);
-            }
-        }
-        inner.map.insert(key, SpecEntry { last_used: tick, plan });
+    fn map(&self) -> MutexGuard<'_, BoundedMap<SpecKey, Arc<LogicalPlan>>> {
+        self.0.lock().expect("spec cache poisoned")
     }
 
     /// Drop every specialization of a replaced engine version.
     pub(crate) fn purge_version(&self, version: u64) {
-        let mut inner = self.inner.lock().expect("spec cache poisoned");
-        inner.map.retain(|k, _| k.version != version);
+        self.map().retain(|k, _| k.version != version);
     }
 
     /// Resident specializations of one statement at one version.
     fn count_for(&self, stmt: u64, version: u64) -> usize {
-        let inner = self.inner.lock().expect("spec cache poisoned");
-        inner.map.keys().filter(|k| k.stmt == stmt && k.version == version).count()
+        self.map().keys().filter(|k| k.stmt == stmt && k.version == version).count()
     }
 }
 
@@ -483,7 +449,8 @@ impl ExecCtx<'_> {
     /// plan's bound window, counting only days the layer's bucket stores a
     /// sample for. `None` when the cache is off, the source is not a
     /// sample layer, or the bound range is empty. Probes with `peek`, so
-    /// rendering an EXPLAIN never skews hit/miss counters or LRU order.
+    /// rendering an EXPLAIN never skews hit/miss counters or moves an
+    /// entry.
     pub(crate) fn day_split(
         &self,
         plan: &LogicalPlan,
@@ -849,7 +816,7 @@ impl PreparedQuery {
             version: snapshot.version(),
             range: range.map(|(a, b)| (a.0, b.0)),
         };
-        if let Some(hit) = self.shared.spec().get(key) {
+        if let Some(hit) = self.shared.spec().map().get(&key) {
             return Ok(hit);
         }
         // Specialize outside the lock: layer re-selection walks catalog
@@ -862,7 +829,7 @@ impl PreparedQuery {
             snapshot.table(),
             snapshot.catalog().map(|c| c.as_ref()),
         )?);
-        self.shared.spec().insert(key, specialized.clone());
+        self.shared.spec().map().insert(key, specialized.clone());
         Ok(specialized)
     }
 

@@ -49,6 +49,7 @@ use crate::engine::FlashPEngine;
 use crate::error::EngineError;
 use crate::explain::{explain_plan, PlanNode};
 use crate::models::build_model;
+use crate::partial_cache::{fnv, FNV_OFFSET};
 use crate::planner::{
     resolve_forecast_window_bounds, resolve_select_range_bounds, specialize_forecast,
     specialize_select, ForecastPlan, LogicalPlan, Planner, ScanSource, SelectPlan, SourceSlot,
@@ -69,17 +70,6 @@ use std::time::Instant;
 /// SHARD_SEED_SALT)`. Changing it re-seeds every slot, so it is part of
 /// the layout contract documented in ARCHITECTURE.md.
 const SHARD_SEED_SALT: u64 = 0x5AAD_ED5E;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// Stable routing hash of a row's dimension key + timestamp (FNV-1a over
 /// a type-tagged byte encoding — independent of platform hashers, process

@@ -14,9 +14,9 @@ const BUCKETS: usize = 30;
 /// A fixed power-of-two latency histogram in microseconds.
 ///
 /// Recording is a single relaxed fetch-add; quantiles are read by the
-/// `STATS` path and the load harness. Quantile answers are upper bucket
-/// bounds, so they are conservative within a factor of two — plenty for
-/// p50/p99 service dashboards.
+/// `STATS` path. Quantile answers are upper bucket bounds, so they are
+/// conservative within a factor of two — plenty for p50/p99 service
+/// dashboards.
 #[derive(Default)]
 pub struct LatencyHistogram {
     counts: [AtomicU64; BUCKETS],
