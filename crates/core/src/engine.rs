@@ -34,12 +34,12 @@ use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::explain::{explain_plan, PlanNode};
 use crate::partial_cache::{self, PartialCache, PartialCacheStats, PARTIAL_CACHE_CAPACITY};
-use crate::planner::{LogicalPlan, Planner};
-use crate::prepared::{ExecCtx, PreparedQuery, SpecCache, SPEC_CACHE_CAPACITY};
+use crate::planner::{LogicalPlan, Planner, ScanSource};
+use crate::prepared::{training_series, ExecCtx, PreparedQuery, SpecCache, SPEC_CACHE_CAPACITY};
 use crate::result::{ExecOutput, ForecastResult, SelectResult, SeriesPoint};
 use crate::version::{CatalogDelta, CatalogVersion, IngestBatch, PublishStats};
 use flashp_query::{parse, ForecastStmt, SelectStmt, Statement};
-use flashp_storage::{AggFunc, CompiledPredicate, TimeSeriesTable, Timestamp};
+use flashp_storage::{AggFunc, CompiledPredicate, SumMode, TimeSeriesTable, Timestamp};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
@@ -604,26 +604,30 @@ impl FlashPEngine {
         rate: f64,
     ) -> Result<(Vec<SeriesPoint>, String, f64), EngineError> {
         let snapshot = self.snapshot();
-        let ctx = self.ctx(&snapshot);
-        if rate >= 1.0 {
-            let points =
-                ctx.estimate_exact(measure, pred, agg, start, end, flashp_storage::SumMode::Exact)?;
-            return Ok((points, "full scan".to_string(), 1.0));
-        }
-        let catalog = snapshot.catalog().ok_or_else(EngineError::no_samples)?;
-        catalog.check_schema(snapshot.table())?;
-        let (_, layer) = catalog.select_layer(rate).ok_or_else(EngineError::no_samples)?;
-        let points = ctx.estimate_from_layer(
-            layer,
-            layer.bucket_for(measure),
-            measure,
-            pred,
-            agg,
-            start,
-            end,
-            crate::prepared::Missing::Error,
-        )?;
-        Ok((points, layer.sampler_label.clone(), layer.rate))
+        let source = if rate >= 1.0 {
+            ScanSource::FullScan { est_rows: 0 }
+        } else {
+            let catalog = snapshot.catalog().ok_or_else(EngineError::no_samples)?;
+            catalog.check_schema(snapshot.table())?;
+            let (layer_idx, layer) =
+                catalog.select_layer(rate).ok_or_else(EngineError::no_samples)?;
+            ScanSource::SampleLayer {
+                layer: layer_idx,
+                rate: layer.rate,
+                sampler: layer.sampler_label.clone(),
+                // `day_partials` rejects an out-of-range measure before it
+                // reads the bucket.
+                bucket: layer.measure_bucket.get(measure).copied().unwrap_or_default(),
+                est_rows: 0,
+                rationale: String::new(),
+                catalog_version: catalog.version(),
+            }
+        };
+        let days =
+            self.ctx(&snapshot).day_partials(&source, measure, pred, start, end, SumMode::Exact)?;
+        let sampled = matches!(source, ScanSource::SampleLayer { .. });
+        let points = training_series(&days, (start, end), agg, sampled)?;
+        Ok((points, source.sampler_label().to_string(), source.rate_used()))
     }
 }
 

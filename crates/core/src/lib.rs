@@ -70,12 +70,12 @@ pub use explain::PlanNode;
 pub use models::build_model;
 pub use partial_cache::{PartialCache, PartialCacheStats};
 pub use planner::{LogicalPlan, Planner, ScanSource, SourceSlot, TimeRangeSlot};
-pub use prepared::PreparedQuery;
+pub use prepared::{DayPartial, PreparedQuery};
 pub use result::{
     ExecOutput, ForecastOut, ForecastResult, SelectResult, SelectRow, SeriesPoint, Timing,
 };
 pub use sharded::{
-    route_hash, DayPartial, ShardConfig, ShardResponse, ShardSnapshot, ShardStats, ShardedEngine,
+    route_hash, ShardConfig, ShardResponse, ShardSnapshot, ShardStats, ShardedEngine,
     ShardedPrepared, ShardedStats,
 };
 pub use version::{CatalogDelta, CatalogVersion, IngestBatch, PublishStats};

@@ -2,11 +2,11 @@
 //! that survive re-bindings, publishes, and scatter-gather sharding.
 //!
 //! FlashP's dashboard workload is repeated FORECAST/SELECT over sliding
-//! time windows. Execution already factors into independent
-//! (layer, bucket, day) units — `map_days` over sampled cells, per-day
-//! partition scans on the exact path — and `apply_delta` Arc-shares
-//! unchanged cells across publishes. This module memoizes the per-day
-//! results of those units so a re-bound `USING (?, ?)` window only
+//! time windows. Execution already factors into independent per-day
+//! units — one [`DayPartial`] per sampled cell or exact partition, all
+//! computed by the one probe→fill driver `ExecCtx::day_partials` — and
+//! `apply_delta` Arc-shares unchanged cells across publishes. This module
+//! memoizes those day partials so a re-bound `USING (?, ?)` window only
 //! computes days it has never seen.
 //!
 //! # Key derivation
@@ -26,7 +26,7 @@
 //!   FNV-1a walk of the compiled predicate tree (float comparisons hash
 //!   their bit patterns; derived lookup structures are excluded).
 //! * **measure** — the measure column index.
-//! * **kind** — sampled [`EstimateComponents`] vs exact [`AggState`]
+//! * **kind** — [`DayPartial::Sampled`] vs [`DayPartial::Exact`]
 //!   (further split by [`SumMode`], whose fast path is reassociated and so
 //!   not interchangeable with exact sums).
 //!
@@ -37,9 +37,10 @@
 //!
 //! # Bit-identity
 //!
-//! Cached values are produced by the same functions the uncached path
-//! runs — `estimate_components_with` per sampled cell,
-//! `flashp_storage::eval_partition_with` per partition — and per-day
+//! The cache-on and cache-off paths are one driver: with the cache off
+//! every probe misses. Day partials are computed by
+//! `estimate_components_with` per sampled cell and
+//! `flashp_storage::eval_partition_with` per partition, and per-day
 //! results are independent of thread count, so assembling cache hits with
 //! freshly computed misses in timestamp order is bit-identical to
 //! recomputing every day. `crates/core/tests/partial_cache.rs` proves
@@ -59,8 +60,8 @@
 
 use crate::bounded::BoundedMap;
 use crate::config::EngineConfig;
-use flashp_sampling::EstimateComponents;
-use flashp_storage::{AggState, CmpOp, CompiledPredicate, SumMode};
+use crate::prepared::DayPartial;
+use flashp_storage::{CmpOp, CompiledPredicate, SumMode};
 use std::sync::{Mutex, MutexGuard};
 
 /// Total entry capacity of a [`PartialCache`] (across its internal lock
@@ -169,9 +170,9 @@ pub(crate) fn predicate_fingerprint(pred: &CompiledPredicate) -> u64 {
 /// Cache-key `kind` discriminants: sampled components vs exact states per
 /// [`SumMode`]. Exact and fast sums are distinct contracts (fast is
 /// reassociated), so they never share entries.
-const KIND_SAMPLED: u8 = 0;
+pub(crate) const KIND_SAMPLED: u8 = 0;
 
-fn exact_kind(sum: SumMode) -> u8 {
+pub(crate) fn exact_kind(sum: SumMode) -> u8 {
     match sum {
         SumMode::Exact => 1,
         SumMode::Fast => 2,
@@ -196,14 +197,6 @@ impl Key {
         fnv_u64(&mut h, u64::from(self.measure));
         (h as usize) % LOCK_SHARDS
     }
-}
-
-/// A memoized day partial: the HT estimate components of one sampled
-/// cell, or the exact aggregate state of one partition.
-#[derive(Debug, Clone, Copy)]
-enum Partial {
-    Sampled(EstimateComponents),
-    Exact(AggState),
 }
 
 /// Counter snapshot of a [`PartialCache`] (or a sum over several — see
@@ -235,7 +228,7 @@ impl PartialCacheStats {
 /// derivation, invalidation and eviction; construction and placement live
 /// in the engine (`EngineShared`).
 pub struct PartialCache {
-    shards: Vec<Mutex<BoundedMap<Key, Partial>>>,
+    shards: Vec<Mutex<BoundedMap<Key, DayPartial>>>,
 }
 
 impl std::fmt::Debug for PartialCache {
@@ -254,74 +247,22 @@ impl PartialCache {
         }
     }
 
-    fn shard(&self, key: &Key) -> MutexGuard<'_, BoundedMap<Key, Partial>> {
+    fn shard(&self, key: &Key) -> MutexGuard<'_, BoundedMap<Key, DayPartial>> {
         self.shards[key.shard()].lock().expect("partial cache poisoned")
     }
 
-    fn get(&self, key: Key) -> Option<Partial> {
+    /// Look up the memoized partial of cell or partition `cell` under
+    /// predicate fingerprint `pred` for `measure` and cache `kind`. Counts
+    /// a hit or miss.
+    pub(crate) fn get(&self, cell: u64, pred: u64, measure: usize, kind: u8) -> Option<DayPartial> {
+        let key = Key { cell, pred, measure: measure as u32, kind };
         self.shard(&key).get(&key)
     }
 
-    fn insert(&self, key: Key, value: Partial) {
+    /// Memoize the partial of cell or partition `cell`.
+    pub(crate) fn put(&self, cell: u64, pred: u64, measure: usize, kind: u8, value: DayPartial) {
+        let key = Key { cell, pred, measure: measure as u32, kind };
         self.shard(&key).insert(key, value);
-    }
-
-    /// Look up the memoized components of sampled cell `cell` under
-    /// predicate fingerprint `pred` for `measure`. Counts a hit or miss.
-    pub(crate) fn get_components(
-        &self,
-        cell: u64,
-        pred: u64,
-        measure: usize,
-    ) -> Option<EstimateComponents> {
-        match self.get(Key { cell, pred, measure: measure as u32, kind: KIND_SAMPLED }) {
-            Some(Partial::Sampled(c)) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Memoize the components of sampled cell `cell`.
-    pub(crate) fn put_components(
-        &self,
-        cell: u64,
-        pred: u64,
-        measure: usize,
-        value: EstimateComponents,
-    ) {
-        self.insert(
-            Key { cell, pred, measure: measure as u32, kind: KIND_SAMPLED },
-            Partial::Sampled(value),
-        );
-    }
-
-    /// Look up the memoized exact [`AggState`] of partition `cell` under
-    /// predicate fingerprint `pred` for `measure` and sum mode `sum`.
-    pub(crate) fn get_exact(
-        &self,
-        cell: u64,
-        pred: u64,
-        measure: usize,
-        sum: SumMode,
-    ) -> Option<AggState> {
-        match self.get(Key { cell, pred, measure: measure as u32, kind: exact_kind(sum) }) {
-            Some(Partial::Exact(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Memoize the exact [`AggState`] of partition `cell`.
-    pub(crate) fn put_exact(
-        &self,
-        cell: u64,
-        pred: u64,
-        measure: usize,
-        sum: SumMode,
-        value: AggState,
-    ) {
-        self.insert(
-            Key { cell, pred, measure: measure as u32, kind: exact_kind(sum) },
-            Partial::Exact(value),
-        );
     }
 
     /// Whether the sampled-component entry for `(cell, pred, measure)` is
@@ -358,6 +299,8 @@ pub(crate) fn enabled(config: &EngineConfig) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashp_sampling::EstimateComponents;
+    use flashp_storage::AggState;
 
     #[test]
     fn fingerprint_distinguishes_structure() {
@@ -384,10 +327,10 @@ mod tests {
     fn bounded_eviction_counts_and_keeps_the_newest() {
         let capacity = 2 * LOCK_SHARDS; // two entries per lock shard
         let cache = PartialCache::new(capacity);
-        let c = EstimateComponents { sum_hat: 1.0, ..Default::default() };
+        let c = DayPartial::Sampled(EstimateComponents { sum_hat: 1.0, ..Default::default() });
         for cell in 0..64u64 {
-            assert!(cache.get_components(cell, 7, 0).is_none());
-            cache.put_components(cell, 7, 0, c);
+            assert!(cache.get(cell, 7, 0, KIND_SAMPLED).is_none());
+            cache.put(cell, 7, 0, KIND_SAMPLED, c);
         }
         let stats = cache.stats();
         assert_eq!(stats.misses, 64);
@@ -406,11 +349,11 @@ mod tests {
     #[test]
     fn full_default_cache_inserts_in_constant_time() {
         let cache = PartialCache::new(PARTIAL_CACHE_CAPACITY);
-        let c = EstimateComponents::default();
+        let c = DayPartial::Sampled(EstimateComponents::default());
         let inserts = 200_000u64;
         let start = std::time::Instant::now();
         for cell in 0..inserts {
-            cache.put_components(cell, 7, 0, c);
+            cache.put(cell, 7, 0, KIND_SAMPLED, c);
         }
         let elapsed = start.elapsed();
         let stats = cache.stats();
@@ -502,11 +445,13 @@ mod tests {
     #[test]
     fn kinds_do_not_alias() {
         let cache = PartialCache::new(16);
-        cache.put_components(1, 2, 3, EstimateComponents::default());
-        assert!(cache.get_exact(1, 2, 3, SumMode::Exact).is_none());
-        cache.put_exact(1, 2, 3, SumMode::Exact, AggState { sum: 5.0, count: 2 });
-        assert!(cache.get_exact(1, 2, 3, SumMode::Fast).is_none());
-        assert_eq!(cache.get_exact(1, 2, 3, SumMode::Exact), Some(AggState { sum: 5.0, count: 2 }));
-        assert!(cache.get_components(1, 2, 3).is_some());
+        let (exact, fast) = (exact_kind(SumMode::Exact), exact_kind(SumMode::Fast));
+        let state = DayPartial::Exact(AggState { sum: 5.0, count: 2 });
+        cache.put(1, 2, 3, KIND_SAMPLED, DayPartial::Sampled(EstimateComponents::default()));
+        assert!(cache.get(1, 2, 3, exact).is_none());
+        cache.put(1, 2, 3, exact, state);
+        assert!(cache.get(1, 2, 3, fast).is_none());
+        assert_eq!(cache.get(1, 2, 3, exact), Some(state));
+        assert!(cache.get(1, 2, 3, KIND_SAMPLED).is_some());
     }
 }

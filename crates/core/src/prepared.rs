@@ -12,12 +12,12 @@
 //! can ever straddle two versions.
 
 use crate::bounded::BoundedMap;
-use crate::catalog::SampleCatalog;
+use crate::catalog::{CatalogCell, SampleCatalog};
 use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::explain::{explain_plan, PlanNode};
 use crate::models::build_model;
-use crate::partial_cache::{predicate_fingerprint, PartialCache};
+use crate::partial_cache::{exact_kind, predicate_fingerprint, PartialCache, KIND_SAMPLED};
 use crate::planner::{
     resolve_forecast_window, resolve_select_range, specialize_forecast, specialize_plan,
     specialize_select, ForecastPlan, LogicalPlan, PredicateSlot, ScanSource, SelectPlan,
@@ -25,14 +25,15 @@ use crate::planner::{
 };
 use crate::result::{ExecOutput, ForecastOut, ForecastResult, SelectResult, SeriesPoint, Timing};
 use flashp_query::{bind_expr, substitute_params, Literal, Statement};
-use flashp_sampling::{estimate_components_with, EstimateComponents, Sample};
+use flashp_sampling::{estimate_components_with, EstimateComponents, SamplingError};
 use flashp_storage::parallel::parallel_map_with;
 use flashp_storage::{
-    AggFunc, CompiledPredicate, MaskScratch, ScanOptions, SumMode, TimeSeriesTable, Timestamp,
+    eval_partition_with, AggFunc, AggState, CompiledPredicate, MaskScratch, Partition,
+    StorageError, SumMode, TimeSeriesTable, Timestamp,
 };
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Total bind-time range specializations the engine-level [`SpecCache`]
 /// retains across every prepared handle (a rotating-dashboard workload
@@ -92,36 +93,104 @@ pub(crate) fn check_arity(num_params: usize, params: &[Literal]) -> Result<(), E
     }))
 }
 
-/// How per-timestamp estimation treats a timestamp with no stored sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Missing {
-    /// Fail: the caller needs a contiguous series (FORECAST training).
-    Error,
-    /// Skip the day: the caller aggregates whatever exists (SELECT).
-    Skip,
-}
-
 /// Everything plan execution needs, borrowed for the duration of one call.
+///
+/// Every statement answers in the two phases of §2.1: phase 1 is
+/// [`ExecCtx::day_partials`], the one place a day's partial is probed,
+/// computed and memoized; phase 2 is [`assemble_forecast`] or
+/// [`assemble_select`], which turn the ascending run of day partials into
+/// the answer. The sharded engine feeds the same two assemblers its
+/// slot-order-merged days; this engine is the one-slot case, unmerged.
 pub(crate) struct ExecCtx<'a> {
     pub table: &'a TimeSeriesTable,
     pub config: &'a EngineConfig,
     pub catalog: Option<&'a SampleCatalog>,
     /// The engine's day-partial cache; `None` when disabled, in which
-    /// case every day executes cold (the CI oracle mode).
+    /// case every probe misses (the CI oracle mode).
     pub partial: Option<&'a PartialCache>,
 }
 
-/// What one timestamp of a per-day estimation batch produced. Keeping the
-/// three cases distinct lets each caller apply its own missing-day policy
-/// *in timestamp order*, so the first failing day surfaces identically to
-/// the pre-cache code paths, cached or not.
-enum DayOutcome {
-    /// The bucket stores no sample for this timestamp.
-    Absent,
-    /// HT components (from the cache, or freshly computed and cached).
-    Value(EstimateComponents),
-    /// Estimation failed; never cached.
-    Failed(EngineError),
+/// One day's partial aggregate — from one sampled cell or one partition —
+/// and the unit the day-partial cache memoizes and the sharded combiner
+/// merges in slot order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DayPartial {
+    /// Exact per-day aggregate state from a full scan; merging adds sums
+    /// and counts exactly.
+    Exact(AggState),
+    /// Horvitz–Thompson components from a sample layer; sums, counts and
+    /// their variance components all add across independent per-slot
+    /// samples.
+    Sampled(EstimateComponents),
+}
+
+impl DayPartial {
+    /// Merge another partial into this one (another slot's partial for
+    /// the same day, or the next day of a scalar fold). Errors if the two
+    /// came from different execution modes (cannot happen for partials
+    /// produced by one planned statement — the exact/sampled decision is
+    /// plan-level and uniform across slots).
+    pub fn merge(&mut self, other: &DayPartial) -> Result<(), EngineError> {
+        match (self, other) {
+            (DayPartial::Exact(a), DayPartial::Exact(b)) => {
+                a.merge(*b);
+                Ok(())
+            }
+            (DayPartial::Sampled(a), DayPartial::Sampled(b)) => {
+                a.merge(b);
+                Ok(())
+            }
+            _ => Err(EngineError::Config(
+                "cannot merge exact and sampled shard partials".to_string(),
+            )),
+        }
+    }
+
+    /// Finalize into `(value, variance)`; exact partials have no
+    /// estimator variance.
+    pub fn finalize(&self, agg: AggFunc) -> (f64, Option<f64>) {
+        match self {
+            DayPartial::Exact(s) => (s.finalize(agg), None),
+            DayPartial::Sampled(c) => {
+                let e = c.finalize(agg);
+                (e.value, e.variance)
+            }
+        }
+    }
+}
+
+/// Result metadata of the source a run of day partials came from.
+pub(crate) struct SourceMeta {
+    pub(crate) sampled: bool,
+    pub(crate) sampler: String,
+    pub(crate) rate_used: f64,
+}
+
+impl SourceMeta {
+    pub(crate) fn of(source: &ScanSource) -> Self {
+        SourceMeta {
+            sampled: matches!(source, ScanSource::SampleLayer { .. }),
+            sampler: source.sampler_label().to_string(),
+            rate_used: source.rate_used(),
+        }
+    }
+}
+
+/// What one present day's partial is computed from.
+#[derive(Clone, Copy)]
+enum DaySource<'a> {
+    Exact(&'a Partition),
+    Sampled(&'a CatalogCell),
+}
+
+impl DaySource<'_> {
+    /// Structural identity, the day's partial-cache key.
+    fn id(self) -> u64 {
+        match self {
+            DaySource::Exact(part) => part.id(),
+            DaySource::Sampled(cell) => cell.id,
+        }
+    }
 }
 
 impl ExecCtx<'_> {
@@ -160,288 +229,82 @@ impl ExecCtx<'_> {
         Ok(catalog.layer(*layer))
     }
 
-    /// Exact per-timestamp aggregates over `[start, end]`.
-    pub(crate) fn estimate_exact(
-        &self,
-        measure: usize,
-        pred: &CompiledPredicate,
-        agg: AggFunc,
-        start: Timestamp,
-        end: Timestamp,
-        sum: SumMode,
-    ) -> Result<Vec<SeriesPoint>, EngineError> {
-        let expected_points = (end - start + 1) as usize;
-        let rows = self.day_states_exact(measure, pred, start, end, sum)?;
-        if rows.len() != expected_points {
-            return Err(EngineError::SamplesUnavailable(format!(
-                "table covers {} of {} requested timestamps",
-                rows.len(),
-                expected_points
-            )));
-        }
-        Ok(rows
-            .into_iter()
-            .map(|(t, state)| SeriesPoint { t, value: state.finalize(agg), variance: None })
-            .collect())
-    }
-
-    /// The shared per-day estimation driver: one [`DayOutcome`] per
-    /// timestamp in `[start, end]` from one catalog layer/bucket.
+    /// Phase 1 (Eq. 4): the days `source` holds in `[lo, hi]`, ascending,
+    /// each with its [`DayPartial`] — HT components per sampled cell of
+    /// the source's bucket, or the exact state per table partition under
+    /// `sum`. Days without a cell or partition are absent.
     ///
-    /// With the day-partial cache attached, only days whose
-    /// (cell, predicate, measure) entry is cold are computed — in
-    /// parallel, one [`MaskScratch`] per worker — and their components are
-    /// memoized for the next window that covers them. Per-day results are
-    /// independent of thread count and of *which* days ran, so assembling
-    /// hits with fresh misses in timestamp order is bit-identical to
-    /// computing every day. Sequential below 200 k sampled rows — thread
-    /// spawn costs dwarf the estimation work on small layers.
-    fn day_outcomes(
-        &self,
-        layer: &crate::catalog::CatalogLayer,
-        bucket: usize,
-        measure: usize,
-        pred: &CompiledPredicate,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Vec<DayOutcome> {
-        let bucket = &layer.buckets[bucket];
-        let ts: Vec<Timestamp> = start.range_inclusive(end).collect();
-        let threads = if layer.total_rows < 200_000 { 1 } else { self.config.threads };
-        let estimate = |scratch: &mut MaskScratch, sample: &Sample| match estimate_components_with(
-            sample, measure, pred, scratch,
-        ) {
-            Ok(c) => DayOutcome::Value(c),
-            Err(e) => DayOutcome::Failed(e.into()),
-        };
-        let Some(cache) = self.partial else {
-            // Cold mode: compute every present day, exactly as before the
-            // cache existed.
-            return parallel_map_with(&ts, threads, MaskScratch::new, |scratch, &t| {
-                match bucket.get(&t) {
-                    None => DayOutcome::Absent,
-                    Some(cell) => estimate(scratch, cell.sample.as_ref()),
-                }
-            });
-        };
-        let fp = predicate_fingerprint(pred);
-        let mut out: Vec<DayOutcome> = Vec::with_capacity(ts.len());
-        let mut missing: Vec<(usize, Timestamp)> = Vec::new();
-        for (i, &t) in ts.iter().enumerate() {
-            match bucket.get(&t) {
-                None => out.push(DayOutcome::Absent),
-                Some(cell) => match cache.get_components(cell.id, fp, measure) {
-                    Some(c) => out.push(DayOutcome::Value(c)),
-                    None => {
-                        missing.push((i, t));
-                        out.push(DayOutcome::Absent); // placeholder, filled below
-                    }
-                },
-            }
-        }
-        if !missing.is_empty() {
-            let computed =
-                parallel_map_with(&missing, threads, MaskScratch::new, |scratch, &(_, t)| {
-                    let cell = bucket.get(&t).expect("probed present above");
-                    estimate(scratch, cell.sample.as_ref())
-                });
-            for (&(i, t), outcome) in missing.iter().zip(computed) {
-                if let DayOutcome::Value(c) = outcome {
-                    let cell = bucket.get(&t).expect("probed present above");
-                    cache.put_components(cell.id, fp, measure, c);
-                }
-                out[i] = outcome;
-            }
-        }
-        out
-    }
-
-    /// Per-timestamp estimates from one catalog layer/bucket.
-    ///
-    /// `missing` controls timestamps with no stored sample: a FORECAST
-    /// training series must be contiguous ([`Missing::Error`]), while a
-    /// SELECT aggregate skips absent days ([`Missing::Skip`]) exactly as
-    /// the exact path iterates only existing partitions.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn estimate_from_layer(
-        &self,
-        layer: &crate::catalog::CatalogLayer,
-        bucket: usize,
-        measure: usize,
-        pred: &CompiledPredicate,
-        agg: AggFunc,
-        start: Timestamp,
-        end: Timestamp,
-        missing: Missing,
-    ) -> Result<Vec<SeriesPoint>, EngineError> {
-        let outcomes = self.day_outcomes(layer, bucket, measure, pred, start, end);
-        let mut points = Vec::with_capacity(outcomes.len());
-        for (t, outcome) in start.range_inclusive(end).zip(outcomes) {
-            match outcome {
-                DayOutcome::Absent => match missing {
-                    Missing::Skip => {}
-                    Missing::Error => {
-                        return Err(EngineError::SamplesUnavailable(format!(
-                            "no sample for timestamp {t}"
-                        )))
-                    }
-                },
-                DayOutcome::Failed(e) => return Err(e),
-                DayOutcome::Value(c) => {
-                    // Finalizing cached components per aggregate is
-                    // bit-identical to `estimate_agg_with`, which is
-                    // defined as components + finalize.
-                    let e = c.finalize(agg);
-                    points.push(SeriesPoint { t, value: e.value, variance: e.variance });
-                }
-            }
-        }
-        Ok(points)
-    }
-
-    /// Raw HT accumulators for `[start, end]` from one catalog
-    /// layer/bucket, merged across timestamps: per-partition samples are
-    /// independent, so sums and variances add. One pass serves any
-    /// aggregate (a range AVG finalizes as total SUM / total COUNT).
-    /// Absent timestamps contribute nothing, mirroring the exact scalar
-    /// path over existing partitions.
-    fn components_from_layer(
-        &self,
-        layer: &crate::catalog::CatalogLayer,
-        bucket: usize,
-        measure: usize,
-        pred: &CompiledPredicate,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<EstimateComponents, EngineError> {
-        let outcomes = self.day_outcomes(layer, bucket, measure, pred, start, end);
-        let mut total = EstimateComponents::default();
-        for outcome in outcomes {
-            match outcome {
-                // Merge a default for absent days, exactly as the
-                // pre-cache path did (x + 0.0 is not a bitwise no-op when
-                // x is -0.0, so skipping the merge would not be
-                // bit-identical).
-                DayOutcome::Absent => total.merge(&EstimateComponents::default()),
-                DayOutcome::Failed(e) => return Err(e),
-                DayOutcome::Value(c) => total.merge(&c),
-            }
-        }
-        Ok(total)
-    }
-
-    /// Per-timestamp HT components for `[start, end]` from one catalog
-    /// layer/bucket, **unmerged**: element `i` is timestamp `start + i`,
-    /// `None` when the bucket stores no sample for that day. This is the
-    /// sampled partial-aggregation entry point for scatter-gather
-    /// execution — a shard emits its own per-day components and a
-    /// combiner merges day-by-day across shards in a fixed shard order,
-    /// keeping f64 accumulation order independent of fan-out width.
-    pub(crate) fn day_components_from_layer(
-        &self,
-        layer: &crate::catalog::CatalogLayer,
-        bucket: usize,
-        measure: usize,
-        pred: &CompiledPredicate,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<Vec<Option<EstimateComponents>>, EngineError> {
-        self.day_outcomes(layer, bucket, measure, pred, start, end)
-            .into_iter()
-            .map(|outcome| match outcome {
-                DayOutcome::Absent => Ok(None),
-                DayOutcome::Value(c) => Ok(Some(c)),
-                DayOutcome::Failed(e) => Err(e),
-            })
-            .collect()
-    }
-
-    /// Exact per-timestamp aggregate states for the partitions this
-    /// table holds in `[start, end]` — the exact-path counterpart of
-    /// [`ExecCtx::day_components_from_layer`]: only present days are
-    /// returned, and the states merge exactly across shards.
-    ///
-    /// With the day-partial cache attached, cold partitions are evaluated
-    /// through the same fused-kernel `eval_partition_with` the range scan
-    /// uses and memoized against the partition's structural id (fresh on
-    /// every copy-on-write clone, so a published append to a day retires
-    /// that day's entries and no others).
-    pub(crate) fn day_states_exact(
-        &self,
-        measure: usize,
-        pred: &CompiledPredicate,
-        start: Timestamp,
-        end: Timestamp,
-        sum: SumMode,
-    ) -> Result<Vec<(Timestamp, flashp_storage::AggState)>, EngineError> {
-        let options = ScanOptions { threads: self.config.threads, sum };
-        // Delegate to the plain range scan when the cache is off — and on
-        // a bad measure index, for the identical bounds error.
-        let uncached = self.partial.is_none() || measure >= self.table.schema().num_measures();
-        if uncached {
-            return Ok(flashp_storage::aggregate_states_range(
-                self.table, measure, pred, start, end, options,
-            )?);
-        }
-        let cache = self.partial.expect("checked above");
-        let fp = predicate_fingerprint(pred);
-        let parts: Vec<(Timestamp, &flashp_storage::Partition)> =
-            self.table.partitions_in(start, end).collect();
-        let mut out: Vec<Option<flashp_storage::AggState>> = vec![None; parts.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, (_, p)) in parts.iter().enumerate() {
-            match cache.get_exact(p.id(), fp, measure, sum) {
-                Some(s) => out[i] = Some(s),
-                None => missing.push(i),
-            }
-        }
-        if !missing.is_empty() {
-            let computed =
-                parallel_map_with(&missing, options.threads, MaskScratch::new, |scratch, &i| {
-                    flashp_storage::eval_partition_with(parts[i].1, measure, pred, scratch, sum)
-                });
-            for (&i, s) in missing.iter().zip(computed) {
-                cache.put_exact(parts[i].1.id(), fp, measure, sum, s);
-                out[i] = Some(s);
-            }
-        }
-        Ok(parts
-            .iter()
-            .zip(out)
-            .map(|((t, _), s)| (*t, s.expect("every partition resolved above")))
-            .collect())
-    }
-
-    /// Per-timestamp series for a plan's scan source. `sum` only affects
-    /// the exact full-scan path; sampled estimation keeps its own
-    /// accumulation order.
-    #[allow(clippy::too_many_arguments)]
-    fn estimate_series_for(
+    /// Each day is probed in the partial cache by `(cell or partition id,
+    /// predicate fingerprint, measure, kind)`; the misses are computed in
+    /// parallel, one [`MaskScratch`] per worker, and memoized. With the
+    /// cache off every probe misses. Per-day results are independent of
+    /// thread count and of which days ran, so assembling hits with fresh
+    /// misses is bit-identical to computing every day. Sampled days run
+    /// sequentially below 200 k layer rows — thread spawn costs dwarf the
+    /// estimation work on small layers.
+    pub(crate) fn day_partials(
         &self,
         source: &ScanSource,
         measure: usize,
         pred: &CompiledPredicate,
-        agg: AggFunc,
-        start: Timestamp,
-        end: Timestamp,
+        lo: Timestamp,
+        hi: Timestamp,
         sum: SumMode,
-    ) -> Result<Vec<SeriesPoint>, EngineError> {
-        match source {
-            ScanSource::FullScan { .. } => self.estimate_exact(measure, pred, agg, start, end, sum),
+    ) -> Result<Vec<(Timestamp, DayPartial)>, EngineError> {
+        let num_measures = self.table.schema().num_measures();
+        if measure >= num_measures {
+            return Err(match source {
+                ScanSource::FullScan { .. } => {
+                    StorageError::ColumnIndexOutOfRange { index: measure, len: num_measures }.into()
+                }
+                ScanSource::SampleLayer { .. } => {
+                    SamplingError::BadMeasure { index: measure, num_measures }.into()
+                }
+            });
+        }
+        // `estimate_series` takes any range; an inverted one holds no day.
+        if hi < lo {
+            return Ok(Vec::new());
+        }
+        let (days, kind, threads): (Vec<(Timestamp, DaySource<'_>)>, u8, usize) = match source {
+            ScanSource::FullScan { .. } => {
+                let parts = self.table.partitions_in(lo, hi).map(|(t, p)| (t, DaySource::Exact(p)));
+                (parts.collect(), exact_kind(sum), self.config.threads)
+            }
             ScanSource::SampleLayer { bucket, .. } => {
                 let layer = self.layer(source)?;
-                self.estimate_from_layer(
-                    layer,
-                    *bucket,
-                    measure,
-                    pred,
-                    agg,
-                    start,
-                    end,
-                    Missing::Error,
-                )
+                let cells = layer.buckets[*bucket].range(lo..=hi);
+                let threads = if layer.total_rows < 200_000 { 1 } else { self.config.threads };
+                (cells.map(|(t, c)| (*t, DaySource::Sampled(c))).collect(), KIND_SAMPLED, threads)
             }
+        };
+        let fp = predicate_fingerprint(pred);
+        let mut out: Vec<Option<DayPartial>> = days
+            .iter()
+            .map(|(_, day)| self.partial.and_then(|cache| cache.get(day.id(), fp, measure, kind)))
+            .collect();
+        let missing: Vec<usize> = (0..days.len()).filter(|&i| out[i].is_none()).collect();
+        let computed =
+            parallel_map_with(&missing, threads, MaskScratch::new, |scratch, &i| match days[i].1 {
+                DaySource::Exact(part) => {
+                    DayPartial::Exact(eval_partition_with(part, measure, pred, scratch, sum))
+                }
+                DaySource::Sampled(cell) => DayPartial::Sampled(
+                    estimate_components_with(&cell.sample, measure, pred, scratch)
+                        .expect("measure index checked against the schema"),
+                ),
+            });
+        for (&i, partial) in missing.iter().zip(computed) {
+            if let Some(cache) = self.partial {
+                cache.put(days[i].1.id(), fp, measure, kind, partial);
+            }
+            out[i] = Some(partial);
         }
+        Ok(days
+            .iter()
+            .zip(out)
+            .map(|((t, _), p)| (*t, p.expect("every day resolved above")))
+            .collect())
     }
 
     /// The expected warm/cold day split the partial cache would serve for
@@ -498,8 +361,8 @@ impl ExecCtx<'_> {
         }
     }
 
-    /// Execute a FORECAST plan: estimate the training series (Eq. 4), fit
-    /// the model, forecast with intervals — the two-phase pipeline of §2.1.
+    /// Execute a FORECAST plan — the two-phase pipeline of §2.1: the
+    /// window's day partials (Eq. 4), then [`assemble_forecast`].
     ///
     /// A plan whose `USING` window is parameterized is specialized here
     /// first (resolve + validate the window, re-select the layer), so
@@ -521,61 +384,18 @@ impl ExecCtx<'_> {
         let (t_start, t_end) = plan.window()?;
         let source = plan.source.planned()?;
         let pred = self.resolve_predicate(&plan.predicate, params)?;
-
-        // Phase 1: estimate the training series (Eq. 4).
         let agg_start = Instant::now();
         let sum = if plan.fast_sum { SumMode::Fast } else { SumMode::Exact };
-        let estimates =
-            self.estimate_series_for(source, plan.measure, &pred, plan.agg, t_start, t_end, sum)?;
+        let days = self.day_partials(source, plan.measure, &pred, t_start, t_end, sum)?;
         let aggregation = agg_start.elapsed();
-
-        // Phase 2: fit + forecast.
-        let fit_start = Instant::now();
-        let values: Vec<f64> = estimates.iter().map(|p| p.value).collect();
-        let mut model = build_model(&plan.model)?;
-        let summary = model.fit(&values)?;
-        let mut fc = model.forecast(plan.horizon, plan.confidence)?;
-        let mean_noise_variance = {
-            let vars: Vec<f64> = estimates.iter().filter_map(|p| p.variance).collect();
-            if vars.is_empty() {
-                0.0
-            } else {
-                vars.iter().sum::<f64>() / vars.len() as f64
-            }
-        };
-        if plan.noise_aware && mean_noise_variance > 0.0 {
-            fc = flashp_forecast::noise::widen_with_noise(&fc, mean_noise_variance)?;
-        }
-        let forecasting = fit_start.elapsed();
-
-        let forecasts: Vec<ForecastOut> = fc
-            .points
-            .iter()
-            .map(|p| ForecastOut {
-                t: t_end + p.step as i64,
-                value: p.value,
-                lo: p.lo,
-                hi: p.hi,
-                std_err: p.std_err,
-            })
-            .collect();
-        Ok(ForecastResult {
-            estimates,
-            forecasts,
-            model: model.name(),
-            sampler: source.sampler_label().to_string(),
-            rate_used: source.rate_used(),
-            confidence: plan.confidence,
-            sigma2: summary.sigma2,
-            mean_noise_variance,
-            timing: Timing { aggregation, forecasting },
-        })
+        assemble_forecast(&plan, (t_start, t_end), &days, SourceMeta::of(source), aggregation)
     }
 
-    /// Execute a SELECT plan (exact scan or sampled estimation). A
-    /// parameterized time window is resolved and clamped here first — an
-    /// inverted or fully out-of-table binding yields the empty result,
-    /// exactly like its literal counterpart at plan time.
+    /// Execute a SELECT plan (exact scan or sampled estimation) through
+    /// [`assemble_select`]. A parameterized time window is resolved and
+    /// clamped here first — an inverted or fully out-of-table binding
+    /// yields the empty result, exactly like its literal counterpart at
+    /// plan time.
     pub(crate) fn execute_select(
         &self,
         plan: &SelectPlan,
@@ -593,63 +413,128 @@ impl ExecCtx<'_> {
         let Some((lo, hi)) = plan.static_range()? else {
             return Ok(SelectResult { rows: Vec::new(), approximate: false });
         };
+        let source = plan.source.planned()?;
         let sum = if plan.fast_sum { SumMode::Fast } else { SumMode::Exact };
-        match plan.source.planned()? {
-            ScanSource::FullScan { .. } => {
-                // Both shapes route through the day-state driver: per-day
-                // states come from the same fused / scratch-reusing
-                // kernels in partition order, so finalizing (grouped) or
-                // merging (scalar) them is bit-identical to the plain
-                // range scan — and warm days are served from the cache.
-                let states = self.day_states_exact(plan.measure, &pred, lo, hi, sum)?;
-                if plan.group_by_time {
-                    let rows =
-                        states.into_iter().map(|(t, s)| (t, s.finalize(plan.agg), None)).collect();
-                    return Ok(SelectResult { rows, approximate: false });
-                }
-                let mut total = flashp_storage::AggState::default();
-                for (_, s) in states {
-                    total.merge(s);
-                }
-                Ok(SelectResult {
-                    rows: vec![(lo, total.finalize(plan.agg), None)],
-                    approximate: false,
-                })
-            }
-            source @ ScanSource::SampleLayer { bucket, .. } => {
-                let layer = self.layer(source)?;
-                if plan.group_by_time {
-                    let points = self.estimate_from_layer(
-                        layer,
-                        *bucket,
-                        plan.measure,
-                        &pred,
-                        plan.agg,
-                        lo,
-                        hi,
-                        Missing::Skip,
-                    )?;
-                    let rows = points
-                        .into_iter()
-                        .map(|p| (p.t, p.value, p.variance.map(f64::sqrt)))
-                        .collect();
-                    return Ok(SelectResult { rows, approximate: true });
-                }
-                // Scalar estimate across the range: one pass accumulates
-                // the HT components over every day, then finalizes into
-                // the requested aggregate — SUM/COUNT variances add across
-                // independent per-partition samples; AVG is the ratio of
-                // the two totals (no plug-in variance).
-                let total =
-                    self.components_from_layer(layer, *bucket, plan.measure, &pred, lo, hi)?;
-                let est = total.finalize(plan.agg);
-                Ok(SelectResult {
-                    rows: vec![(lo, est.value, est.variance.map(f64::sqrt))],
-                    approximate: true,
-                })
-            }
+        let days = self.day_partials(source, plan.measure, &pred, lo, hi, sum)?;
+        assemble_select(&plan, lo, &days, matches!(source, ScanSource::SampleLayer { .. }))
+    }
+}
+
+/// Finalize a FORECAST window's ascending day partials into its training
+/// series. The series must be contiguous: a sampled source names the
+/// first day without a sample, an exact one how many days the table
+/// covers.
+pub(crate) fn training_series(
+    days: &[(Timestamp, DayPartial)],
+    (t_start, t_end): (Timestamp, Timestamp),
+    agg: AggFunc,
+    sampled: bool,
+) -> Result<Vec<SeriesPoint>, EngineError> {
+    let expected = (t_end - t_start + 1) as usize;
+    if days.len() != expected {
+        if !sampled {
+            return Err(EngineError::SamplesUnavailable(format!(
+                "table covers {} of {} requested timestamps",
+                days.len(),
+                expected
+            )));
+        }
+        let present = |t: &Timestamp| days.binary_search_by_key(t, |(d, _)| *d).is_ok();
+        if let Some(t) = t_start.range_inclusive(t_end).find(|t| !present(t)) {
+            return Err(EngineError::SamplesUnavailable(format!("no sample for timestamp {t}")));
         }
     }
+    Ok(days
+        .iter()
+        .map(|(t, p)| {
+            let (value, variance) = p.finalize(agg);
+            SeriesPoint { t: *t, value, variance }
+        })
+        .collect())
+}
+
+/// Phase 2 of a FORECAST (§2.1): the training series from the window's
+/// ascending day partials, one model fit, and the forecast with
+/// intervals — widened by the mean estimator variance when the plan is
+/// noise-aware (Proposition 1).
+pub(crate) fn assemble_forecast(
+    plan: &ForecastPlan,
+    window: (Timestamp, Timestamp),
+    days: &[(Timestamp, DayPartial)],
+    meta: SourceMeta,
+    aggregation: Duration,
+) -> Result<ForecastResult, EngineError> {
+    let estimates = training_series(days, window, plan.agg, meta.sampled)?;
+    let fit_start = Instant::now();
+    let values: Vec<f64> = estimates.iter().map(|p| p.value).collect();
+    let mut model = build_model(&plan.model)?;
+    let summary = model.fit(&values)?;
+    let mut fc = model.forecast(plan.horizon, plan.confidence)?;
+    let mean_noise_variance = {
+        let vars: Vec<f64> = estimates.iter().filter_map(|p| p.variance).collect();
+        if vars.is_empty() {
+            0.0
+        } else {
+            vars.iter().sum::<f64>() / vars.len() as f64
+        }
+    };
+    if plan.noise_aware && mean_noise_variance > 0.0 {
+        fc = flashp_forecast::noise::widen_with_noise(&fc, mean_noise_variance)?;
+    }
+    let forecasting = fit_start.elapsed();
+
+    let forecasts: Vec<ForecastOut> = fc
+        .points
+        .iter()
+        .map(|p| ForecastOut {
+            t: window.1 + p.step as i64,
+            value: p.value,
+            lo: p.lo,
+            hi: p.hi,
+            std_err: p.std_err,
+        })
+        .collect();
+    Ok(ForecastResult {
+        estimates,
+        forecasts,
+        model: model.name(),
+        sampler: meta.sampler,
+        rate_used: meta.rate_used,
+        confidence: plan.confidence,
+        sigma2: summary.sigma2,
+        mean_noise_variance,
+        timing: Timing { aggregation, forecasting },
+    })
+}
+
+/// Finalize a SELECT from its ascending day partials: `GROUP BY t` emits
+/// one row per present day; a scalar SELECT folds the days in time order
+/// and finalizes once into one row labelled `lo` — SUM/COUNT variances
+/// add across independent per-day samples, AVG is the ratio of the two
+/// totals.
+pub(crate) fn assemble_select(
+    plan: &SelectPlan,
+    lo: Timestamp,
+    days: &[(Timestamp, DayPartial)],
+    sampled: bool,
+) -> Result<SelectResult, EngineError> {
+    let row = |t: Timestamp, partial: &DayPartial| {
+        let (value, variance) = partial.finalize(plan.agg);
+        (t, value, variance.map(f64::sqrt))
+    };
+    if plan.group_by_time {
+        let rows = days.iter().map(|(t, p)| row(*t, p)).collect();
+        return Ok(SelectResult { rows, approximate: sampled });
+    }
+    let mut total = if sampled {
+        DayPartial::Sampled(EstimateComponents::default())
+    } else {
+        DayPartial::Exact(AggState::default())
+    };
+    for (_, p) in days {
+        total.merge(p)?;
+    }
+    Ok(SelectResult { rows: vec![row(lo, &total)], approximate: sampled })
 }
 
 /// A planned, repeatedly executable statement.

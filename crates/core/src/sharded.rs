@@ -24,14 +24,16 @@
 //! predicate are slot-local), its time range is resolved **once** against
 //! the union of slot bounds, and every slot plan is specialized to that
 //! one global range. Each slot then produces a [`ShardResponse`] of
-//! per-day partials — exact [`AggState`]s from a full scan, or
-//! Horvitz–Thompson [`EstimateComponents`] from its sample layer — and
-//! the combiner merges them day by day in slot order: sums and counts
-//! add, variance components add per HT algebra, and AVG finalizes as the
-//! ratio of the merged totals. FORECAST model fitting runs once on the
-//! merged training series. The partials type is transport-agnostic (plain
-//! data, no wire coupling) so a service frontend can later move shards
-//! behind sockets without changing the merge layer.
+//! per-day [`DayPartial`]s — exact aggregate states from a full scan, or
+//! Horvitz–Thompson components from its sample layer — through the same
+//! driver a single engine runs, and the combiner merges them day by day
+//! in slot order: sums and counts add, variance components add per HT
+//! algebra. The merged days go to the single engine's assemblers, so AVG
+//! finalizes as the ratio of the merged totals and FORECAST model fitting
+//! runs once on the merged training series. The partials type is
+//! transport-agnostic (plain data, no wire coupling) so a service
+//! frontend can later move shards behind sockets without changing the
+//! merge layer.
 //!
 //! ## Consistency under ingest/publish
 //!
@@ -48,19 +50,16 @@ use crate::config::EngineConfig;
 use crate::engine::FlashPEngine;
 use crate::error::EngineError;
 use crate::explain::{explain_plan, PlanNode};
-use crate::models::build_model;
 use crate::partial_cache::{fnv, FNV_OFFSET};
 use crate::planner::{
     resolve_forecast_window_bounds, resolve_select_range_bounds, specialize_forecast,
-    specialize_select, ForecastPlan, LogicalPlan, Planner, ScanSource, SelectPlan, SourceSlot,
-    TimeRangeSlot,
+    specialize_select, LogicalPlan, Planner, ScanSource, SourceSlot, TimeRangeSlot,
 };
-use crate::prepared::check_arity;
-use crate::result::{ExecOutput, ForecastOut, ForecastResult, SelectResult, SeriesPoint, Timing};
+use crate::prepared::{assemble_forecast, assemble_select, check_arity, DayPartial, SourceMeta};
+use crate::result::{ExecOutput, ForecastResult, SelectResult};
 use crate::version::{CatalogVersion, IngestBatch, IngestItem, PublishStats};
 use flashp_query::{parse, split_select_constraint, Literal, Statement};
-use flashp_sampling::EstimateComponents;
-use flashp_storage::{AggFunc, AggState, SumMode, TimeSeriesTable, Timestamp, Value};
+use flashp_storage::{SumMode, TimeSeriesTable, Timestamp, Value};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -186,53 +185,6 @@ impl ShardSnapshot {
     }
 }
 
-/// One day's partial aggregate from one slot — the unit the combiner
-/// merges in slot order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DayPartial {
-    /// Exact per-day aggregate state from a full scan; merging adds sums
-    /// and counts exactly.
-    Exact(AggState),
-    /// Horvitz–Thompson components from a sample layer; sums, counts and
-    /// their variance components all add across independent per-slot
-    /// samples.
-    Sampled(EstimateComponents),
-}
-
-impl DayPartial {
-    /// Merge another slot's partial for the same day into this one.
-    /// Errors if the two came from different execution modes (cannot
-    /// happen for partials produced by one planned statement — the
-    /// exact/sampled decision is plan-level and uniform across slots).
-    pub fn merge(&mut self, other: &DayPartial) -> Result<(), EngineError> {
-        match (self, other) {
-            (DayPartial::Exact(a), DayPartial::Exact(b)) => {
-                a.merge(*b);
-                Ok(())
-            }
-            (DayPartial::Sampled(a), DayPartial::Sampled(b)) => {
-                a.merge(b);
-                Ok(())
-            }
-            _ => Err(EngineError::Config(
-                "cannot merge exact and sampled shard partials".to_string(),
-            )),
-        }
-    }
-
-    /// Finalize into `(value, variance)`; exact partials have no
-    /// estimator variance.
-    pub fn finalize(&self, agg: AggFunc) -> (f64, Option<f64>) {
-        match self {
-            DayPartial::Exact(s) => (s.finalize(agg), None),
-            DayPartial::Sampled(c) => {
-                let e = c.finalize(agg);
-                (e.value, e.variance)
-            }
-        }
-    }
-}
-
 /// One shard's (or slot's) contribution to a scatter-gather execution.
 ///
 /// Deliberately transport-agnostic: plain owned data with no references
@@ -259,12 +211,11 @@ pub struct ShardResponse {
 
 /// Merged partials plus result metadata, ready to finalize.
 struct Merged {
-    /// Per-day merged partials; each day was merged in slot order.
-    days: BTreeMap<Timestamp, DayPartial>,
+    /// Per-day merged partials, ascending; each day was merged in slot
+    /// order.
+    days: Vec<(Timestamp, DayPartial)>,
     range: Option<(Timestamp, Timestamp)>,
-    sampled: bool,
-    sampler: String,
-    rate_used: f64,
+    meta: SourceMeta,
 }
 
 /// Merge shard responses in the order given (callers pass slot order —
@@ -300,7 +251,8 @@ fn merge_responses(responses: &[ShardResponse]) -> Result<Merged, EngineError> {
     if sampler.is_empty() {
         sampler = "full".to_string();
     }
-    Ok(Merged { days, range, sampled, sampler, rate_used })
+    let meta = SourceMeta { sampled, sampler, rate_used };
+    Ok(Merged { days: days.into_iter().collect(), range, meta })
 }
 
 /// Compute one slot's [`ShardResponse`] for a specialized (static-range)
@@ -332,40 +284,14 @@ fn slot_response(
     };
     let pred = ctx.resolve_predicate(predicate, params)?;
     let sum = if fast_sum { SumMode::Fast } else { SumMode::Exact };
-    match source {
-        ScanSource::FullScan { est_rows } => {
-            let days = ctx
-                .day_states_exact(measure, &pred, lo, hi, sum)?
-                .into_iter()
-                .map(|(t, s)| (t, DayPartial::Exact(s)))
-                .collect();
-            Ok(ShardResponse {
-                days,
-                est_rows: *est_rows,
-                range: Some((lo, hi)),
-                sampled: false,
-                sampler: source.sampler_label().to_string(),
-                rate_used: source.rate_used(),
-            })
-        }
-        ScanSource::SampleLayer { bucket, est_rows, .. } => {
-            let layer = ctx.layer(source)?;
-            let comps = ctx.day_components_from_layer(layer, *bucket, measure, &pred, lo, hi)?;
-            let days = lo
-                .range_inclusive(hi)
-                .zip(comps)
-                .filter_map(|(t, c)| c.map(|c| (t, DayPartial::Sampled(c))))
-                .collect();
-            Ok(ShardResponse {
-                days,
-                est_rows: *est_rows,
-                range: Some((lo, hi)),
-                sampled: true,
-                sampler: source.sampler_label().to_string(),
-                rate_used: source.rate_used(),
-            })
-        }
-    }
+    Ok(ShardResponse {
+        days: ctx.day_partials(source, measure, &pred, lo, hi, sum)?,
+        est_rows: source.est_rows(),
+        range: Some((lo, hi)),
+        sampled: matches!(source, ScanSource::SampleLayer { .. }),
+        sampler: source.sampler_label().to_string(),
+        rate_used: source.rate_used(),
+    })
 }
 
 /// The shared, swappable state behind every clone of a sharded engine
@@ -472,7 +398,8 @@ fn execute_planned(
             let responses = gather(shared, shard_config, snapshot, &specialized, params)?;
             let merged = merge_responses(&responses)?;
             let aggregation = agg_start.elapsed();
-            Ok(ExecOutput::Forecast(Box::new(assemble_forecast(fp, range, merged, aggregation)?)))
+            let result = assemble_forecast(fp, range, &merged.days, merged.meta, aggregation)?;
+            Ok(ExecOutput::Forecast(Box::new(result)))
         }
         LogicalPlan::Select(sp) => {
             // Resolve the global clamped range once. A static plan's
@@ -513,7 +440,13 @@ fn execute_planned(
             })?;
             let responses = gather(shared, shard_config, snapshot, &specialized, params)?;
             let merged = merge_responses(&responses)?;
-            Ok(ExecOutput::Select(assemble_select(sp, merged)?))
+            let Some((lo, _)) = merged.range else {
+                return Ok(ExecOutput::Select(SelectResult {
+                    rows: Vec::new(),
+                    approximate: false,
+                }));
+            };
+            Ok(ExecOutput::Select(assemble_select(sp, lo, &merged.days, merged.meta.sampled)?))
         }
     }
 }
@@ -581,131 +514,6 @@ fn gather(
         .into_iter()
         .map(|r| r.expect("every planned slot produced a result"))
         .collect::<Result<Vec<_>, _>>()
-}
-
-/// Finalize a merged FORECAST: enforce global training-series contiguity
-/// (a day is covered when *any* slot holds it), then fit and forecast
-/// once on the merged series — phase 2 runs at the combiner, not per
-/// shard.
-fn assemble_forecast(
-    plan: &ForecastPlan,
-    (t_start, t_end): (Timestamp, Timestamp),
-    merged: Merged,
-    aggregation: std::time::Duration,
-) -> Result<ForecastResult, EngineError> {
-    let expected = (t_end - t_start + 1) as usize;
-    if merged.days.len() != expected {
-        if merged.sampled {
-            let missing = t_start
-                .range_inclusive(t_end)
-                .find(|t| !merged.days.contains_key(t))
-                .expect("some day is missing");
-            return Err(EngineError::SamplesUnavailable(format!(
-                "no sample for timestamp {missing}"
-            )));
-        }
-        return Err(EngineError::SamplesUnavailable(format!(
-            "table covers {} of {} requested timestamps",
-            merged.days.len(),
-            expected
-        )));
-    }
-    let estimates: Vec<SeriesPoint> = merged
-        .days
-        .iter()
-        .map(|(t, p)| {
-            let (value, variance) = p.finalize(plan.agg);
-            SeriesPoint { t: *t, value, variance }
-        })
-        .collect();
-
-    let fit_start = Instant::now();
-    let values: Vec<f64> = estimates.iter().map(|p| p.value).collect();
-    let mut model = build_model(&plan.model)?;
-    let summary = model.fit(&values)?;
-    let mut fc = model.forecast(plan.horizon, plan.confidence)?;
-    let mean_noise_variance = {
-        let vars: Vec<f64> = estimates.iter().filter_map(|p| p.variance).collect();
-        if vars.is_empty() {
-            0.0
-        } else {
-            vars.iter().sum::<f64>() / vars.len() as f64
-        }
-    };
-    if plan.noise_aware && mean_noise_variance > 0.0 {
-        fc = flashp_forecast::noise::widen_with_noise(&fc, mean_noise_variance)?;
-    }
-    let forecasting = fit_start.elapsed();
-
-    let forecasts: Vec<ForecastOut> = fc
-        .points
-        .iter()
-        .map(|p| ForecastOut {
-            t: t_end + p.step as i64,
-            value: p.value,
-            lo: p.lo,
-            hi: p.hi,
-            std_err: p.std_err,
-        })
-        .collect();
-    Ok(ForecastResult {
-        estimates,
-        forecasts,
-        model: model.name(),
-        sampler: merged.sampler,
-        rate_used: merged.rate_used,
-        confidence: plan.confidence,
-        sigma2: summary.sigma2,
-        mean_noise_variance,
-        timing: Timing { aggregation, forecasting },
-    })
-}
-
-/// Finalize a merged SELECT: grouped queries emit one row per merged day;
-/// scalar queries fold the merged per-day partials across days in time
-/// order and finalize once (AVG as the ratio of merged totals).
-fn assemble_select(plan: &SelectPlan, merged: Merged) -> Result<SelectResult, EngineError> {
-    let Some((lo, _)) = merged.range else {
-        return Ok(SelectResult { rows: Vec::new(), approximate: false });
-    };
-    if plan.group_by_time {
-        let rows = merged
-            .days
-            .iter()
-            .map(|(t, p)| {
-                let (value, variance) = p.finalize(plan.agg);
-                (*t, value, variance.map(f64::sqrt))
-            })
-            .collect();
-        return Ok(SelectResult { rows, approximate: merged.sampled });
-    }
-    if merged.sampled {
-        let mut total = EstimateComponents::default();
-        for p in merged.days.values() {
-            let DayPartial::Sampled(c) = p else {
-                return Err(EngineError::Config(
-                    "cannot merge exact and sampled shard partials".to_string(),
-                ));
-            };
-            total.merge(c);
-        }
-        let est = total.finalize(plan.agg);
-        Ok(SelectResult {
-            rows: vec![(lo, est.value, est.variance.map(f64::sqrt))],
-            approximate: true,
-        })
-    } else {
-        let mut total = AggState::default();
-        for p in merged.days.values() {
-            let DayPartial::Exact(s) = p else {
-                return Err(EngineError::Config(
-                    "cannot merge exact and sampled shard partials".to_string(),
-                ));
-            };
-            total.merge(*s);
-        }
-        Ok(SelectResult { rows: vec![(lo, total.finalize(plan.agg), None)], approximate: false })
-    }
 }
 
 /// Render the scatter-gather EXPLAIN tree: a `ScatterGather` root

@@ -16,11 +16,16 @@
 //! holds but no cache exists to count against.
 
 use flashp_core::{
-    EngineConfig, FlashPEngine, ForecastResult, IngestBatch, Literal, SampleCatalog, SamplerChoice,
-    SelectResult, ShardConfig, ShardedEngine,
+    EngineConfig, EngineError, FlashPEngine, ForecastResult, IngestBatch, Literal, SampleCatalog,
+    SamplerChoice, SelectResult, ShardConfig, ShardedEngine,
 };
 use flashp_data::{generate_dataset, DatasetConfig};
-use flashp_storage::{TimeSeriesTable, Value};
+use flashp_sampling::{estimate_components_with, EstimateComponents, SamplingError};
+use flashp_storage::{
+    aggregate_states_range, AggFunc, AggState, CmpOp, DataType, MaskScratch, Predicate,
+    ScanOptions, Schema, StorageError, TimeSeriesTable, Timestamp, Value,
+};
+use std::sync::Arc;
 
 const FORECAST_TEMPLATE: &str = "FORECAST SUM(Impression) FROM ads \
      WHERE age <= 30 AND gender = 'F' USING (?, ?) \
@@ -347,5 +352,222 @@ fn exact_path_warm_matches_the_uncached_oracle() {
     if cache_active() {
         let stats = cached.partial_cache_stats().expect("cache on");
         assert!(stats.hits > 0, "warm exact re-runs must hit the cache: {stats:?}");
+    }
+}
+
+/// First day of the gap-day fixture; [`GAP_DAY`] is missing from it.
+const GAP_START: i64 = 20200101;
+const GAP_DAY: i64 = 20200111;
+const GAP_DAYS: i64 = 21;
+
+fn ts(yyyymmdd: i64) -> Timestamp {
+    Timestamp::from_yyyymmdd(yyyymmdd).unwrap()
+}
+
+/// 21 days from 2020-01-01 with 2020-01-11 absent, 240 rows a day: one
+/// heavy-tailed measure and a proportional one, xorshift-deterministic.
+fn gap_table() -> TimeSeriesTable {
+    let schema = Schema::from_names(
+        &[("seg", DataType::Int64), ("grp", DataType::Categorical)],
+        &["m1", "m2"],
+    )
+    .unwrap()
+    .into_shared();
+    let mut table = TimeSeriesTable::new(schema);
+    let mut state = 4_242u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    for day in 0..GAP_DAYS {
+        let t = ts(GAP_START) + day;
+        if t == ts(GAP_DAY) {
+            continue;
+        }
+        for row in 0..240i64 {
+            let heavy = if row % 53 == 0 { 40.0 } else { 1.0 };
+            let m1 = (100.0 + day as f64) * heavy * (0.5 + next());
+            let dims = [Value::Int(row % 10), Value::from(if row % 3 == 0 { "a" } else { "b" })];
+            table.append_row(t, &dims, &[m1, m1 * 0.1]).unwrap();
+        }
+    }
+    table
+}
+
+fn gap_config(partial_cache: bool) -> EngineConfig {
+    EngineConfig {
+        sampler: SamplerChoice::OptimalGsw,
+        layer_rates: vec![0.2],
+        default_rate: 0.2,
+        partial_cache,
+        ..Default::default()
+    }
+}
+
+/// A cache-on and a cache-off engine over one gap table and one shared
+/// catalog, so the reference below can read the very samples both serve.
+fn gap_engines() -> (FlashPEngine, FlashPEngine, Arc<SampleCatalog>) {
+    let table = Arc::new(gap_table());
+    let catalog = Arc::new(SampleCatalog::build(&table, &gap_config(true)).unwrap());
+    let cached = FlashPEngine::with_catalog(table.clone(), gap_config(true), catalog.clone());
+    let uncached = FlashPEngine::with_catalog(table, gap_config(false), catalog.clone());
+    (cached, uncached, catalog)
+}
+
+/// Per-day sampled components for `[lo, hi]` from the catalog's only
+/// layer, absent days omitted, in day order.
+fn reference_components(
+    catalog: &SampleCatalog,
+    pred: &flashp_storage::CompiledPredicate,
+    lo: i64,
+    hi: i64,
+) -> Vec<(Timestamp, EstimateComponents)> {
+    let mut scratch = MaskScratch::new();
+    ts(lo)
+        .range_inclusive(ts(hi))
+        .filter_map(|t| {
+            let sample = catalog.sample_for(0, 0, t)?;
+            Some((t, estimate_components_with(sample, 0, pred, &mut scratch).unwrap()))
+        })
+        .collect()
+}
+
+/// One SELECT row: `(t, value, std_err)`.
+type Row = (Timestamp, f64, Option<f64>);
+
+fn assert_rows_bits_eq(got: &SelectResult, want: &[Row], label: &str) {
+    assert_eq!(got.rows.len(), want.len(), "{label}: row count");
+    for (g, w) in got.rows.iter().zip(want) {
+        assert_eq!(g.0, w.0, "{label}: timestamp");
+        assert_eq!(g.1.to_bits(), w.1.to_bits(), "{label}: value at {}", g.0);
+        assert_eq!(g.2.map(f64::to_bits), w.2.map(f64::to_bits), "{label}: std_err at {}", g.0);
+    }
+}
+
+/// A window spanning an absent day: sampled scalar SUM/COUNT/AVG, sampled
+/// `GROUP BY t`, and their exact counterparts all equal, to the bit, a
+/// reference assembled from public calls — the per-cell estimator merged
+/// over the present days only, and the storage range scan — cache on
+/// (cold and warm) and off. The scalar sampled rows pin that skipping an
+/// absent day's merge changes no bit.
+#[test]
+fn gap_day_answers_match_a_public_reference_bit_for_bit() {
+    let (cached, uncached, catalog) = gap_engines();
+    let table = cached.table();
+    let pred = table.compile_predicate(&Predicate::cmp("seg", CmpOp::Le, 5)).unwrap();
+    let (lo, hi) = (20200105, 20200118);
+    let window = format!("seg <= 5 AND t BETWEEN {lo} AND {hi}");
+
+    let comps = reference_components(&catalog, &pred, lo, hi);
+    assert_eq!(comps.len(), (hi - lo) as usize, "exactly the gap day is absent");
+    let options = ScanOptions { threads: 2, ..Default::default() };
+    let states = aggregate_states_range(&table, 0, &pred, ts(lo), ts(hi), options).unwrap();
+    assert_eq!(states.len(), comps.len());
+
+    for agg in [AggFunc::Sum, AggFunc::Count, AggFunc::Avg] {
+        let name = match agg {
+            AggFunc::Sum => "SUM",
+            AggFunc::Count => "COUNT",
+            AggFunc::Avg => "AVG",
+        };
+        let mut total = EstimateComponents::default();
+        for (_, c) in &comps {
+            total.merge(c);
+        }
+        let est = total.finalize(agg);
+        let sampled_scalar = [(ts(lo), est.value, est.variance.map(f64::sqrt))];
+        let sampled_grouped: Vec<_> = comps
+            .iter()
+            .map(|(t, c)| {
+                let e = c.finalize(agg);
+                (*t, e.value, e.variance.map(f64::sqrt))
+            })
+            .collect();
+        let mut exact_total = AggState::default();
+        for (_, s) in &states {
+            exact_total.merge(*s);
+        }
+        let exact_scalar = [(ts(lo), exact_total.finalize(agg), None)];
+        let exact_grouped: Vec<_> =
+            states.iter().map(|(t, s)| (*t, s.finalize(agg), None)).collect();
+
+        let cases: [(String, &[Row]); 4] = [
+            (
+                format!("SELECT {name}(m1) FROM T WHERE {window} OPTION (SAMPLE_RATE = 0.2)"),
+                &sampled_scalar,
+            ),
+            (
+                format!(
+                    "SELECT {name}(m1) FROM T WHERE {window} GROUP BY t \
+                     OPTION (SAMPLE_RATE = 0.2)"
+                ),
+                &sampled_grouped,
+            ),
+            (format!("SELECT {name}(m1) FROM T WHERE {window}"), &exact_scalar),
+            (format!("SELECT {name}(m1) FROM T WHERE {window} GROUP BY t"), &exact_grouped),
+        ];
+        for (sql, want) in cases {
+            for (engine, label) in [(&cached, "cold"), (&cached, "warm"), (&uncached, "uncached")] {
+                assert_rows_bits_eq(
+                    &engine.select(&sql).unwrap(),
+                    want,
+                    &format!("{label}: {sql}"),
+                );
+            }
+        }
+    }
+}
+
+/// A FORECAST whose window holds the absent day fails with the same
+/// `SamplesUnavailable` message on one engine and on 1- and 4-shard
+/// engines, sampled and at `SAMPLE_RATE = 1.0`.
+#[test]
+fn gap_day_forecast_errors_match_across_engines() {
+    let (single, _, _) = gap_engines();
+    let table = single.table();
+    let sharded: Vec<ShardedEngine> = [1, 4]
+        .into_iter()
+        .map(|n| {
+            ShardedEngine::with_catalogs(&table, gap_config(true), ShardConfig::with_shards(n))
+                .unwrap()
+        })
+        .collect();
+    let window = format!("USING ({GAP_START}, {})", GAP_START + GAP_DAYS - 1);
+    for (rate, message) in [
+        ("0.2", format!("no sample for timestamp {GAP_DAY}")),
+        ("1.0", format!("table covers {} of {GAP_DAYS} requested timestamps", GAP_DAYS - 1)),
+    ] {
+        let sql = format!(
+            "FORECAST SUM(m1) FROM T WHERE seg <= 5 {window} \
+             OPTION (MODEL = 'naive', SAMPLE_RATE = {rate})"
+        );
+        let errors = std::iter::once(single.forecast(&sql).unwrap_err())
+            .chain(sharded.iter().map(|e| e.forecast(&sql).unwrap_err()));
+        for (i, err) in errors.enumerate() {
+            match err {
+                EngineError::SamplesUnavailable(m) => assert_eq!(m, message, "engine {i}: {sql}"),
+                other => panic!("engine {i}: {sql}: expected SamplesUnavailable, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// `estimate_series` with an out-of-range measure reports each source's
+/// own bounds error: the range scan's column-index error at rate 1, the
+/// sample estimator's bad-measure error on a sample layer.
+#[test]
+fn estimate_series_rejects_an_out_of_range_measure() {
+    let (engine, _, _) = gap_engines();
+    let pred = engine.table().compile_predicate(&Predicate::True).unwrap();
+    let (lo, hi) = (ts(GAP_START), ts(GAP_START) + 5);
+    match engine.estimate_series(2, &pred, AggFunc::Sum, lo, hi, 1.0) {
+        Err(EngineError::Storage(StorageError::ColumnIndexOutOfRange { index: 2, len: 2 })) => {}
+        other => panic!("exact source: {other:?}"),
+    }
+    match engine.estimate_series(2, &pred, AggFunc::Sum, lo, hi, 0.2) {
+        Err(EngineError::Sampling(SamplingError::BadMeasure { index: 2, num_measures: 2 })) => {}
+        other => panic!("sampled source: {other:?}"),
     }
 }
