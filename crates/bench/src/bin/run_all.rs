@@ -1,27 +1,23 @@
-//! Run every experiment in sequence on one shared dataset, regenerating
-//! all tables and figures of the paper. See crate docs for env knobs.
-
-type Experiment = fn(&flashp_bench::Harness) -> serde_json::Value;
+//! Run the paper's experiments in sequence on one shared dataset,
+//! regenerating its tables and figures: all of them, or only those named
+//! by `--only <key>[,<key>…]`, where each key is an `experiments::*`
+//! module name. An unknown key exits with status 2 before any dataset is
+//! generated. See the crate docs for env knobs.
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let selected = match flashp_bench::experiments::select(&args) {
+        Ok(selected) => selected,
+        Err(msg) => {
+            eprintln!("run_all: {msg}");
+            std::process::exit(2);
+        }
+    };
     let harness = flashp_bench::Harness::load();
-    let experiments: Vec<(&str, Experiment)> = vec![
-        ("Proposition 1", flashp_bench::experiments::prop1::run),
-        ("Fig. 3 example", flashp_bench::experiments::fig3_example::run),
-        ("Fig. 5 grouping", flashp_bench::experiments::fig5_grouping::run),
-        ("Fig. 7 response time", flashp_bench::experiments::fig7_response::run),
-        ("Fig. 9 aggregation error", flashp_bench::experiments::fig9_agg_error::run),
-        ("Table 1 summary", flashp_bench::experiments::table1::run),
-        ("Figs. 10-14 forecast error", flashp_bench::experiments::forecast_error::run),
-        ("Fig. 8 training length", flashp_bench::experiments::fig8_train_len::run),
-        ("Fig. 12 intervals", flashp_bench::experiments::fig12_intervals::run),
-        ("Fig. 15 space cost", flashp_bench::experiments::fig15_space::run),
-        ("Ablation: tail vs priority", flashp_bench::experiments::ablation_tail::run),
-    ];
-    for (name, run) in experiments {
-        eprintln!("\n################ {name} ################");
+    for experiment in selected {
+        eprintln!("\n################ {} ################", experiment.title);
         let t = std::time::Instant::now();
-        run(&harness);
-        eprintln!("[{name}] finished in {:.1?}", t.elapsed());
+        (experiment.run)(&harness);
+        eprintln!("[{}] finished in {:.1?}", experiment.title, t.elapsed());
     }
 }

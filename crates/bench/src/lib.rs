@@ -2,9 +2,10 @@
 //!
 //! The experiment harness that regenerates **every table and figure** of
 //! the FlashP paper's evaluation (§6). Each experiment lives in
-//! [`experiments`] and is exposed both as a library function (so
-//! `run_all` can share one dataset) and as a standalone binary
-//! (`cargo run -p flashp-bench --release --bin exp_…`).
+//! [`experiments`] as a library function, and the one binary `run_all`
+//! runs them all on one shared dataset, or a subset by module name
+//! (`cargo run -p flashp-bench --release --bin run_all -- --only
+//! fig9_agg_error,prop1`).
 //!
 //! Scale knobs (environment variables):
 //!

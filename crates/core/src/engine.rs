@@ -29,7 +29,7 @@
 //! path for a service loop, with no lock on the execution path.
 
 use crate::bounded::BoundedMap;
-use crate::catalog::{BuildStats, SampleCatalog};
+use crate::catalog::SampleCatalog;
 use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::explain::{explain_plan, PlanNode};
@@ -38,7 +38,7 @@ use crate::planner::{LogicalPlan, Planner, ScanSource};
 use crate::prepared::{training_series, ExecCtx, PreparedQuery, SpecCache, SPEC_CACHE_CAPACITY};
 use crate::result::{ExecOutput, ForecastResult, SelectResult, SeriesPoint};
 use crate::version::{CatalogDelta, CatalogVersion, IngestBatch, PublishStats};
-use flashp_query::{parse, ForecastStmt, SelectStmt, Statement};
+use flashp_query::{parse, Statement};
 use flashp_storage::{AggFunc, CompiledPredicate, SumMode, TimeSeriesTable, Timestamp};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
@@ -68,7 +68,7 @@ pub struct EngineStats {
     pub version: u64,
     /// The active sample catalog's version, if a catalog is attached.
     pub catalog_version: Option<u64>,
-    /// Plan-cache effectiveness for this handle's shared cache.
+    /// Plan-cache effectiveness for this engine's shared cache.
     pub plan_cache: PlanCacheStats,
     /// Day-partial cache counters; `None` when the cache is disabled
     /// (config or `FLASHP_NO_PARTIAL_CACHE=1`).
@@ -80,16 +80,16 @@ pub struct EngineStats {
 }
 
 /// Plan cache keyed on `(normalized statement text, version)`, bounded by
-/// the two-generation policy of `bounded.rs`. Shared (via `Arc`) by every
-/// clone of an engine handle. Only the one-shot string APIs touch it;
-/// prepared queries bypass it entirely.
+/// the two-generation policy of `bounded.rs`. Lives in [`EngineShared`],
+/// so every clone of an engine handle shares it. Only the one-shot string
+/// APIs touch it; prepared queries bypass it entirely.
 ///
 /// The version is the [`CatalogVersion::version`] a plan was made
 /// against: plans embed layer indices, clamped time ranges and
 /// dictionary-folded predicates, all of which a publish may invalidate,
-/// so a lookup only hits when the requesting handle's active version
-/// matches. [`PlanCache::purge_version`] drops a replaced version's
-/// entries eagerly after a swap.
+/// so a lookup only hits when the engine's active version matches.
+/// [`PlanCache::purge_version`] drops a replaced version's entries
+/// eagerly after a swap.
 struct PlanCache(Mutex<BoundedMap<(String, u64), Arc<LogicalPlan>>>);
 
 impl PlanCache {
@@ -173,9 +173,10 @@ pub(crate) struct EngineShared {
     partial: Option<Arc<PartialCache>>,
     /// Shared bind-time specialization cache: `USING (?, ?)` plans
     /// specialized per (statement, version, bound range), visible to every
-    /// prepared handle of this engine (the ROADMAP PR 6 follow-on that
-    /// replaced the per-handle cap).
+    /// prepared handle of this engine.
     spec: SpecCache,
+    /// The one-shot statement plan cache.
+    plans: PlanCache,
 }
 
 #[derive(Default)]
@@ -194,6 +195,7 @@ impl EngineShared {
             partial: partial_cache::enabled(config)
                 .then(|| Arc::new(PartialCache::new(PARTIAL_CACHE_CAPACITY))),
             spec: SpecCache::new(SPEC_CACHE_CAPACITY),
+            plans: PlanCache::new(PLAN_CACHE_CAPACITY),
         }
     }
 
@@ -225,28 +227,20 @@ enum Resolved {
 pub struct FlashPEngine {
     shared: Arc<EngineShared>,
     config: Arc<EngineConfig>,
-    plan_cache: Arc<PlanCache>,
 }
 
 impl FlashPEngine {
-    /// Wrap a table with the given configuration. The table is shared via
-    /// [`Arc`], so several engines (e.g. one per sampler in an experiment)
-    /// can serve the same data without copying it. Exact (rate = 1)
-    /// queries work immediately; attach a catalog — via
-    /// [`FlashPEngine::with_catalog`] or the legacy
-    /// [`FlashPEngine::build_samples`] — before issuing sampled queries.
+    /// Wrap a table with the given configuration and no sample catalog.
+    /// The table is shared via [`Arc`], so several engines can serve the
+    /// same data without copying it. Only exact (rate = 1) queries can be
+    /// answered; use [`FlashPEngine::with_catalog`] for sampled queries.
     pub fn new(table: impl Into<Arc<TimeSeriesTable>>, config: EngineConfig) -> Self {
-        let shared = Arc::new(EngineShared::new(CatalogVersion::new(table.into(), None), &config));
-        FlashPEngine {
-            shared,
-            config: Arc::new(config),
-            plan_cache: Arc::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
-        }
+        Self::from_version(CatalogVersion::new(table.into(), None), config)
     }
 
-    /// An engine over a pre-built sample catalog (the staged replacement
-    /// for `new` + `build_samples`): build the catalog once with
-    /// [`SampleCatalog::build`], then hand it to any number of engines.
+    /// An engine over a pre-built sample catalog: build the catalog once
+    /// with [`SampleCatalog::build`] (the offline stage), then hand it to
+    /// any number of engines.
     ///
     /// The catalog must have been built from this `table` (planning
     /// validates the schemas match and returns a configuration error for
@@ -257,12 +251,13 @@ impl FlashPEngine {
         config: EngineConfig,
         catalog: impl Into<Arc<SampleCatalog>>,
     ) -> Self {
-        let version = CatalogVersion::new(table.into(), Some(catalog.into()));
-        let shared = Arc::new(EngineShared::new(version, &config));
+        Self::from_version(CatalogVersion::new(table.into(), Some(catalog.into())), config)
+    }
+
+    fn from_version(version: CatalogVersion, config: EngineConfig) -> Self {
         FlashPEngine {
-            shared,
+            shared: Arc::new(EngineShared::new(version, &config)),
             config: Arc::new(config),
-            plan_cache: Arc::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
         }
     }
 
@@ -275,8 +270,7 @@ impl FlashPEngine {
     }
 
     /// The version number of the active snapshot; bumps on every
-    /// [`FlashPEngine::publish`] (and on the legacy
-    /// [`FlashPEngine::build_samples`]).
+    /// [`FlashPEngine::publish`].
     pub fn version(&self) -> u64 {
         self.snapshot().version()
     }
@@ -302,9 +296,9 @@ impl FlashPEngine {
         self.snapshot().catalog().map(|c| c.groups().to_vec()).unwrap_or_default()
     }
 
-    /// Plan-cache hit/miss counters for this handle's shared cache.
+    /// Plan-cache hit/miss counters for this engine's shared cache.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_cache.stats()
+        self.shared.plans.stats()
     }
 
     /// Day-partial cache counters, or `None` when the cache is disabled
@@ -330,7 +324,7 @@ impl FlashPEngine {
         EngineStats {
             version: snapshot.version(),
             catalog_version: snapshot.catalog().map(|c| c.version()),
-            plan_cache: self.plan_cache.stats(),
+            plan_cache: self.shared.plans.stats(),
             partial_cache: self.partial_cache_stats(),
             pending_rows,
             pending_partitions,
@@ -417,32 +411,11 @@ impl FlashPEngine {
         // The swap: a brief write lock — readers only ever hold this lock
         // long enough to clone the Arc, so no execution waits on another.
         *self.shared.active.write().expect("engine version lock poisoned") = next;
-        self.plan_cache.purge_version(old.version());
+        self.shared.plans.purge_version(old.version());
         // Specialized plans are version-scoped like one-shot plans; the
         // day-partial cache needs no purge — its entries key on cell
         // identities, which the publish already retired structurally.
         self.shared.spec().purge_version(old.version());
-        Ok(stats)
-    }
-
-    /// Deprecated shim: run the offline sample preprocessor in place.
-    ///
-    /// Prefer [`SampleCatalog::build`] + [`FlashPEngine::with_catalog`],
-    /// which never borrow an engine mutably — the staged API for services
-    /// that share one engine handle across threads. This wrapper builds a
-    /// catalog from the engine's own table and configuration and attaches
-    /// it to *this* handle under a fresh version (clones made earlier
-    /// keep serving their old version; cached plans are version-scoped,
-    /// so no stale plan can execute).
-    pub fn build_samples(&mut self) -> Result<BuildStats, EngineError> {
-        let snapshot = self.shared.snapshot();
-        let catalog = SampleCatalog::build(snapshot.table(), &self.config)?;
-        let stats = catalog.stats().clone();
-        let version = CatalogVersion::new(snapshot.table().clone(), Some(Arc::new(catalog)));
-        // Detach: this handle moves to a fresh shared slot (with fresh,
-        // empty caches) so earlier clones keep their catalog-less version,
-        // preserving the legacy per-handle attachment semantics.
-        self.shared = Arc::new(EngineShared::new(version, &self.config));
         Ok(stats)
     }
 
@@ -522,7 +495,7 @@ impl FlashPEngine {
         // skew the hit-rate the stats report.
         let cacheable = !key.0.get(..8).is_some_and(|p| p.eq_ignore_ascii_case("EXPLAIN "));
         if cacheable {
-            if let Some(plan) = self.plan_cache.map().get(&key) {
+            if let Some(plan) = self.shared.plans.map().get(&key) {
                 return Ok(Resolved::Plan(plan));
             }
         }
@@ -536,7 +509,7 @@ impl FlashPEngine {
             }
             stmt => {
                 let plan = Arc::new(self.planner(snapshot).plan(&stmt)?);
-                self.plan_cache.map().insert(key, plan.clone());
+                self.shared.plans.map().insert(key, plan.clone());
                 Ok(Resolved::Plan(plan))
             }
         }
@@ -573,21 +546,6 @@ impl FlashPEngine {
             },
             Resolved::Explain(_) => Err(EngineError::WrongStatement { expected: "SELECT" }),
         }
-    }
-
-    /// Run a forecasting task from a parsed statement (plans, then runs
-    /// the full two-phase pipeline of §2.1). Bypasses the plan cache.
-    pub fn run_forecast(&self, stmt: &ForecastStmt) -> Result<ForecastResult, EngineError> {
-        let snapshot = self.snapshot();
-        let plan = self.planner(&snapshot).plan_forecast(stmt)?;
-        self.ctx(&snapshot).execute_forecast(&plan, &[])
-    }
-
-    /// Run a SELECT from a parsed statement. Bypasses the plan cache.
-    pub fn run_select(&self, stmt: &SelectStmt) -> Result<SelectResult, EngineError> {
-        let snapshot = self.snapshot();
-        let plan = self.planner(&snapshot).plan_select(stmt)?;
-        self.ctx(&snapshot).execute_select(&plan, &[])
     }
 
     /// Estimate the per-timestamp aggregates over `[start, end]`. Rate 1
@@ -638,6 +596,12 @@ mod tests {
     use crate::test_support::test_table;
     use flashp_storage::Value;
 
+    /// An engine over `table` with a catalog built from it.
+    fn built(table: TimeSeriesTable, config: EngineConfig) -> FlashPEngine {
+        let catalog = SampleCatalog::build(&table, &config).unwrap();
+        FlashPEngine::with_catalog(table, config, catalog)
+    }
+
     fn engine(sampler: SamplerChoice) -> FlashPEngine {
         let config = EngineConfig {
             layer_rates: vec![0.2, 0.05],
@@ -645,9 +609,7 @@ mod tests {
             default_rate: 0.05,
             ..Default::default()
         };
-        let mut e = FlashPEngine::new(test_table(), config);
-        e.build_samples().unwrap();
-        e
+        built(test_table(), config)
     }
 
     const FORECAST_SQL: &str = "FORECAST SUM(m1) FROM T WHERE seg <= 5 \
@@ -848,8 +810,7 @@ mod tests {
             sampler: SamplerChoice::Uniform,
             ..Default::default()
         };
-        let mut e = FlashPEngine::new(table, config);
-        e.build_samples().unwrap();
+        let e = built(table, config);
         let sql = "SELECT SUM(m) FROM T WHERE t BETWEEN 20200101 AND 20200104 GROUP BY t";
         let exact = e.select(sql).unwrap();
         assert_eq!(exact.rows.len(), 3, "exact path skips the missing day");
@@ -1140,8 +1101,8 @@ mod tests {
             layer_rates: vec![0.1],
             ..Default::default()
         };
-        let mut e = FlashPEngine::new(test_table(), config);
-        let stats = e.build_samples().unwrap();
+        let catalog = SampleCatalog::build(&test_table(), &config).unwrap();
+        let stats = catalog.stats();
         assert!(!stats.groups.is_empty());
         let total: usize = stats.groups.iter().map(Vec::len).sum();
         assert_eq!(total, 2);
@@ -1151,8 +1112,10 @@ mod tests {
             grouping: GroupingPolicy::Explicit(vec![vec![0]]),
             ..Default::default()
         };
-        let mut e = FlashPEngine::new(test_table(), bad);
-        assert!(e.build_samples().is_err(), "groups must cover every measure");
+        assert!(
+            SampleCatalog::build(&test_table(), &bad).is_err(),
+            "groups must cover every measure"
+        );
     }
 
     #[test]
@@ -1163,8 +1126,7 @@ mod tests {
                 sampler: SamplerChoice::OptimalGsw,
                 ..Default::default()
             };
-            let mut e = FlashPEngine::new(test_table(), config);
-            e.build_samples().unwrap();
+            let e = built(test_table(), config);
             let pred = e.table().compile_predicate(&flashp_storage::Predicate::True).unwrap();
             let start = Timestamp::from_yyyymmdd(20200101).unwrap();
             let (points, _, _) =
@@ -1225,32 +1187,6 @@ mod tests {
         assert!(!hit("a", 1));
         assert!(hit("d", 2));
         assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn cache_hits_are_scoped_to_the_handle_catalog() {
-        // A clone taken before build_samples holds no catalog; the shared
-        // plan cache must not hand it a sampled plan cached by the built
-        // handle — it re-plans and fails with the plan-time error.
-        let config = EngineConfig {
-            layer_rates: vec![0.2, 0.05],
-            sampler: SamplerChoice::OptimalGsw,
-            default_rate: 0.05,
-            ..Default::default()
-        };
-        let mut built = FlashPEngine::new(test_table(), config);
-        let unbuilt = built.clone();
-        built.build_samples().unwrap();
-        built.forecast(FORECAST_SQL).unwrap(); // caches a sampled plan
-        let err = unbuilt.forecast(FORECAST_SQL).unwrap_err();
-        assert!(
-            matches!(err, EngineError::SamplesUnavailable(ref msg) if msg.contains("build_samples")),
-            "expected the plan-time no-samples error, got: {err}"
-        );
-        // And the built handle still hits its own cached plan.
-        let before = built.plan_cache_stats().hits;
-        built.forecast(FORECAST_SQL).unwrap();
-        assert!(built.plan_cache_stats().hits > before);
     }
 
     #[test]

@@ -15,8 +15,10 @@ pub enum EngineError {
     Forecast(flashp_forecast::ForecastError),
     /// Engine configuration or usage problem.
     Config(String),
-    /// Samples have not been built yet (call `build_samples` first) or do
-    /// not cover the requested range/measure.
+    /// The engine has no sample catalog (build one with
+    /// `SampleCatalog::build` and attach it with
+    /// `FlashPEngine::with_catalog`), or its samples do not cover the
+    /// requested range/measure.
     SamplesUnavailable(String),
     /// A `?` parameter problem: wrong arity, a parameter where none is
     /// allowed, or parameters supplied to a parameterless statement.
@@ -33,7 +35,7 @@ impl EngineError {
     pub(crate) fn no_samples() -> Self {
         EngineError::SamplesUnavailable(
             "no sample layers built; attach a catalog (SampleCatalog::build + \
-             FlashPEngine::with_catalog, or the legacy build_samples())"
+             FlashPEngine::with_catalog)"
                 .to_string(),
         )
     }

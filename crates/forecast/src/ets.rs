@@ -27,6 +27,8 @@ struct EtsState {
     level: f64,
     trend: f64,
     seasonals: Vec<f64>,
+    /// Training length: the first forecast step is time index `n`.
+    n: usize,
 }
 
 /// An exponential smoothing forecaster.
@@ -84,7 +86,7 @@ impl EtsModel {
     /// One smoothing pass: returns `(sse, n_pred, final_state)`.
     fn run(&self, series: &[f64], alpha: f64, beta: f64, gamma: f64) -> (f64, usize, EtsState) {
         let m = self.period();
-        let mut state = EtsState::default();
+        let mut state = EtsState { n: series.len(), ..EtsState::default() };
         // Initialization: level = first value (or first-season mean),
         // trend = mean first differences, seasonals = deviations from the
         // first season's mean.
@@ -200,8 +202,9 @@ impl ForecastModel for EtsModel {
         let means: Vec<f64> = (1..=horizon)
             .map(|h| {
                 let seasonal = if m > 0 {
-                    // The seasonal index that slot `h` continues.
-                    self.state.seasonals[(self.state.seasonals.len() + h - 1) % m]
+                    // Step `h` is time index `n + h − 1`; the fit loop
+                    // keeps time `t`'s seasonal in slot `t % m`.
+                    self.state.seasonals[(self.state.n + h - 1) % m]
                 } else {
                     0.0
                 };
@@ -279,6 +282,26 @@ mod tests {
         for (h, p) in f.points.iter().enumerate() {
             let expected = 100.0 + season[(160 + h) % 4];
             assert!((p.value - expected).abs() < 2.0, "h={h}: {} vs {expected}", p.value);
+        }
+    }
+
+    #[test]
+    fn holt_winters_forecast_phase_follows_training_length() {
+        // A noiseless period-7 series is tracked exactly, so the forecast
+        // must continue the season wherever the training window ends, not
+        // only when its length is a multiple of the period.
+        let season = [12.0, -3.0, 5.0, -9.0, 0.0, 4.0, -9.0];
+        let value = |t: usize| 100.0 + season[t % 7];
+        for n in 140..147 {
+            let series: Vec<f64> = (0..n).map(value).collect();
+            let mut m = EtsModel::new(EtsVariant::HoltWinters { period: 7 });
+            m.fit(&series).unwrap();
+            let f = m.forecast(14, 0.9).unwrap();
+            for (h, p) in f.points.iter().enumerate() {
+                let expected = value(n + h);
+                let rel = (p.value - expected).abs() / expected;
+                assert!(rel < 1e-9, "n={n} h={}: {} vs {expected}", h + 1, p.value);
+            }
         }
     }
 

@@ -52,7 +52,7 @@ pub struct FitSummary {
     pub sigma2: f64,
     /// Conditional Gaussian log-likelihood, if the model defines one.
     pub log_likelihood: Option<f64>,
-    /// Akaike information criterion, if defined.
+    /// AIC (Akaike's information-theoretic model score), if defined.
     pub aic: Option<f64>,
     /// Number of free parameters.
     pub num_params: usize,

@@ -19,12 +19,12 @@
 //!
 //! Baselines for the paper's experiments live alongside: uniform Bernoulli
 //! ([`uniform`]), priority \[21\] ([`priority`]), threshold \[20\]
-//! ([`threshold`]), plus the §7 extension samplers (stratified, universe).
-//! [`incremental`] maintains a GSW sample under row arrivals by raising Δ
-//! without touching unsampled rows (§4.1); [`multilayer`] keeps samples of
-//! several sizes for the response-time/accuracy tradeoff (§5);
+//! ([`threshold`]). [`incremental`] maintains a GSW sample under row
+//! arrivals by raising Δ without touching unsampled rows (§4.1);
 //! [`grouping`] partitions measures into compressed-sample groups via the
-//! KCENTER greedy algorithm on normalized L1 distance (§4.2).
+//! KCENTER greedy algorithm on normalized L1 distance (§4.2). The
+//! multi-layer store of §5 (samples of several sizes for the
+//! response-time/accuracy tradeoff) is `flashp_core::SampleCatalog`.
 
 #![warn(missing_docs)]
 
@@ -34,14 +34,11 @@ pub mod estimator;
 pub mod grouping;
 pub mod gsw;
 pub mod incremental;
-pub mod multilayer;
 pub mod priority;
 pub mod sample;
 pub mod sampler;
-pub mod stratified;
 pub mod threshold;
 pub mod uniform;
-pub mod universe;
 pub mod weights;
 
 pub use error::SamplingError;
@@ -52,12 +49,9 @@ pub use estimator::{
 pub use grouping::{group_measures, MeasureGroups};
 pub use gsw::{delta_for_expected_size, GswSampler};
 pub use incremental::{GswCellState, IncrementalGswSample};
-pub use multilayer::{LayerSelection, MultiLayerSamples};
 pub use priority::PrioritySampler;
 pub use sample::Sample;
 pub use sampler::{SampleSize, Sampler};
-pub use stratified::StratifiedSampler;
 pub use threshold::ThresholdSampler;
 pub use uniform::UniformSampler;
-pub use universe::UniverseSampler;
 pub use weights::WeightStrategy;

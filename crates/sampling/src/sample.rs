@@ -19,7 +19,7 @@ use crate::error::SamplingError;
 /// open question of Alon et al. that Theorem 3 answers for GSW.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MeasureScope {
-    /// Weights independent of any measure (uniform, stratified, universe).
+    /// Weights independent of any measure (uniform, constant-weight GSW).
     All,
     /// Drawn for one specific measure (optimal GSW, priority, threshold).
     Single(usize),

@@ -547,8 +547,8 @@ impl CompiledPredicate {
         }
     }
 
-    /// Evaluate for a single row (used by row-at-a-time consumers such as
-    /// stratified samplers).
+    /// Evaluate for a single row (for row-at-a-time consumers; the scan
+    /// paths use the word-at-a-time kernels instead).
     pub fn matches_row(&self, partition: &Partition, row: usize) -> bool {
         match self {
             CompiledPredicate::Const(b) => *b,

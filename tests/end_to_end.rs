@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: dataset → engine → SQL → forecast, across
 //! sampler families and models.
 
-use flashp::core::{EngineConfig, FlashPEngine, SamplerChoice};
+use flashp::core::{EngineConfig, FlashPEngine, SampleCatalog, SamplerChoice};
 use flashp::data::{generate_dataset, DatasetConfig};
 use flashp::forecast::metrics::mean_relative_error;
 use std::sync::Arc;
@@ -15,17 +15,14 @@ fn engine_with(
     table: Arc<flashp::storage::TimeSeriesTable>,
     sampler: SamplerChoice,
 ) -> FlashPEngine {
-    let mut e = FlashPEngine::new(
-        table,
-        EngineConfig {
-            sampler,
-            layer_rates: vec![0.1, 0.02],
-            default_rate: 0.02,
-            ..Default::default()
-        },
-    );
-    e.build_samples().unwrap();
-    e
+    let config = EngineConfig {
+        sampler,
+        layer_rates: vec![0.1, 0.02],
+        default_rate: 0.02,
+        ..Default::default()
+    };
+    let catalog = SampleCatalog::build(&table, &config).unwrap();
+    FlashPEngine::with_catalog(table, config, catalog)
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! compressed sample serves every measure at a fraction of the space of
 //! per-measure weighted samples, and grouping by L1 distance matters.
 
-use flashp::core::{EngineConfig, FlashPEngine, GroupingPolicy, SamplerChoice};
+use flashp::core::{EngineConfig, FlashPEngine, GroupingPolicy, SampleCatalog, SamplerChoice};
 use flashp::data::dimensions::measure;
 use flashp::data::{generate_dataset, DatasetConfig};
 use flashp::sampling::consistency::normalized_l1;
@@ -16,27 +16,27 @@ use std::sync::Arc;
 fn compressed_samples_use_a_fraction_of_the_space() {
     let ds = generate_dataset(&DatasetConfig::new(2_000, 20, 31)).unwrap();
     let table = Arc::new(ds.table);
-    let mut per_measure = FlashPEngine::new(
-        table.clone(),
-        EngineConfig {
+    let per_measure = SampleCatalog::build(
+        &table,
+        &EngineConfig {
             sampler: SamplerChoice::OptimalGsw,
             layer_rates: vec![0.02],
             ..Default::default()
         },
-    );
-    let a = per_measure.build_samples().unwrap();
-    let mut compressed = FlashPEngine::new(
-        table.clone(),
-        EngineConfig {
+    )
+    .unwrap();
+    let compressed = SampleCatalog::build(
+        &table,
+        &EngineConfig {
             sampler: SamplerChoice::ArithmeticGsw,
             grouping: GroupingPolicy::Single,
             layer_rates: vec![0.02],
             ..Default::default()
         },
-    );
-    let b = compressed.build_samples().unwrap();
+    )
+    .unwrap();
     // 4 measures per-measure vs 1 shared sample: ~4x space difference.
-    let ratio = a.total_bytes as f64 / b.total_bytes as f64;
+    let ratio = per_measure.stats().total_bytes as f64 / compressed.stats().total_bytes as f64;
     assert!(
         ratio > 3.0 && ratio < 5.0,
         "space ratio {ratio} should be near 4 (four per-measure samples vs one)"
@@ -47,17 +47,15 @@ fn compressed_samples_use_a_fraction_of_the_space() {
 fn every_measure_estimable_from_one_compressed_sample() {
     let ds = generate_dataset(&DatasetConfig::new(2_000, 20, 32)).unwrap();
     let table = Arc::new(ds.table);
-    let mut engine = FlashPEngine::new(
-        table.clone(),
-        EngineConfig {
-            sampler: SamplerChoice::ArithmeticGsw,
-            grouping: GroupingPolicy::Auto { num_groups: 2 },
-            layer_rates: vec![0.05],
-            ..Default::default()
-        },
-    );
-    let stats = engine.build_samples().unwrap();
-    assert_eq!(stats.groups.iter().map(Vec::len).sum::<usize>(), 4);
+    let config = EngineConfig {
+        sampler: SamplerChoice::ArithmeticGsw,
+        grouping: GroupingPolicy::Auto { num_groups: 2 },
+        layer_rates: vec![0.05],
+        ..Default::default()
+    };
+    let catalog = SampleCatalog::build(&table, &config).unwrap();
+    assert_eq!(catalog.stats().groups.iter().map(Vec::len).sum::<usize>(), 4);
+    let engine = FlashPEngine::with_catalog(table.clone(), config, catalog);
 
     let pred = table.compile_predicate(&Predicate::eq("gender", "F")).unwrap();
     let start = Timestamp::from_yyyymmdd(20200101).unwrap();
@@ -113,16 +111,14 @@ fn better_grouping_gives_better_estimates() {
     let rate = 0.01;
 
     let mean_err = |grouping: GroupingPolicy| {
-        let mut engine = FlashPEngine::new(
-            table.clone(),
-            EngineConfig {
-                sampler: SamplerChoice::ArithmeticGsw,
-                grouping,
-                layer_rates: vec![rate],
-                ..Default::default()
-            },
-        );
-        engine.build_samples().unwrap();
+        let config = EngineConfig {
+            sampler: SamplerChoice::ArithmeticGsw,
+            grouping,
+            layer_rates: vec![rate],
+            ..Default::default()
+        };
+        let catalog = SampleCatalog::build(&table, &config).unwrap();
+        let engine = FlashPEngine::with_catalog(table.clone(), config, catalog);
         // Average error across all four measures.
         let mut total = 0.0;
         for m in 0..4 {

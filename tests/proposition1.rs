@@ -98,20 +98,18 @@ fn unbiasedness_and_independence_of_engine_estimates() {
     // unbiasedness (mean of estimates ≈ truth) and independence across
     // days (estimates come from independently drawn per-partition
     // samples; verify via near-zero lag-1 autocorrelation of the error).
-    use flashp::core::{EngineConfig, FlashPEngine, SamplerChoice};
+    use flashp::core::{EngineConfig, FlashPEngine, SampleCatalog, SamplerChoice};
     use flashp::data::{generate_dataset, DatasetConfig};
     use flashp::storage::{AggFunc, Predicate, Timestamp};
 
     let ds = generate_dataset(&DatasetConfig::new(2_000, 60, 55)).unwrap();
-    let mut engine = FlashPEngine::new(
-        ds.table,
-        EngineConfig {
-            sampler: SamplerChoice::OptimalGsw,
-            layer_rates: vec![0.05],
-            ..Default::default()
-        },
-    );
-    engine.build_samples().unwrap();
+    let config = EngineConfig {
+        sampler: SamplerChoice::OptimalGsw,
+        layer_rates: vec![0.05],
+        ..Default::default()
+    };
+    let catalog = SampleCatalog::build(&ds.table, &config).unwrap();
+    let engine = FlashPEngine::with_catalog(ds.table, config, catalog);
     let pred = engine.table().compile_predicate(&Predicate::eq("gender", "F")).unwrap();
     let start = Timestamp::from_yyyymmdd(20200101).unwrap();
     let end = start + 59;

@@ -10,7 +10,7 @@
 //! Verified here at laptop scale by averaging relative aggregation errors
 //! over tasks × days.
 
-use flashp::core::{EngineConfig, FlashPEngine, SamplerChoice};
+use flashp::core::{EngineConfig, FlashPEngine, SampleCatalog, SamplerChoice};
 use flashp::data::{generate_dataset, DatasetConfig, WorkloadConfig, WorkloadGenerator};
 use flashp::storage::{AggFunc, Predicate, Timestamp};
 use rand::rngs::StdRng;
@@ -70,11 +70,9 @@ fn aggregation_error_ordering_matches_the_paper() {
         SamplerChoice::GeometricGsw,
     ] {
         let label = sampler.label();
-        let mut engine = FlashPEngine::new(
-            table.clone(),
-            EngineConfig { sampler, layer_rates: vec![rate], ..Default::default() },
-        );
-        engine.build_samples().unwrap();
+        let config = EngineConfig { sampler, layer_rates: vec![rate], ..Default::default() };
+        let catalog = SampleCatalog::build(&table, &config).unwrap();
+        let engine = FlashPEngine::with_catalog(table.clone(), config, catalog);
         errors.insert(label, mean_error(&engine, &tasks, start, end, rate));
     }
 
@@ -112,15 +110,13 @@ fn error_decreases_with_rate_and_selectivity() {
     let start = Timestamp::from_yyyymmdd(20200101).unwrap();
     let end = start + 29;
 
-    let mut engine = FlashPEngine::new(
-        table,
-        EngineConfig {
-            sampler: SamplerChoice::OptimalGsw,
-            layer_rates: vec![0.1, 0.01],
-            ..Default::default()
-        },
-    );
-    engine.build_samples().unwrap();
+    let config = EngineConfig {
+        sampler: SamplerChoice::OptimalGsw,
+        layer_rates: vec![0.1, 0.01],
+        ..Default::default()
+    };
+    let catalog = SampleCatalog::build(&table, &config).unwrap();
+    let engine = FlashPEngine::with_catalog(table, config, catalog);
 
     let tasks_narrow = vec![(narrow.predicate, 0usize)];
     let tasks_broad = vec![(broad.predicate, 0usize)];

@@ -1,24 +1,21 @@
 //! SQL surface tests against the engine: options plumbing, error paths,
 //! and semantic agreement between SELECT and direct computation.
 
-use flashp::core::{EngineConfig, ExecOutput, FlashPEngine, SamplerChoice};
+use flashp::core::{EngineConfig, ExecOutput, FlashPEngine, SampleCatalog, SamplerChoice};
 use flashp::data::{generate_dataset, DatasetConfig};
 use std::sync::Arc;
 
 fn engine() -> FlashPEngine {
     let ds = generate_dataset(&DatasetConfig::new(1_000, 40, 77)).unwrap();
-    let mut e = FlashPEngine::new(
-        Arc::new(ds.table),
-        EngineConfig {
-            sampler: SamplerChoice::OptimalGsw,
-            layer_rates: vec![0.1],
-            default_rate: 0.1,
-            table_name: Some("ads".to_string()),
-            ..Default::default()
-        },
-    );
-    e.build_samples().unwrap();
-    e
+    let config = EngineConfig {
+        sampler: SamplerChoice::OptimalGsw,
+        layer_rates: vec![0.1],
+        default_rate: 0.1,
+        table_name: Some("ads".to_string()),
+        ..Default::default()
+    };
+    let catalog = SampleCatalog::build(&ds.table, &config).unwrap();
+    FlashPEngine::with_catalog(Arc::new(ds.table), config, catalog)
 }
 
 #[test]
