@@ -5,11 +5,11 @@
 //! host CPU supports (portable word-at-a-time, SSE2, AVX2, AVX-512) —
 //! across exact masked aggregation, predicate evaluation (the conjunction
 //! and the pure-u8 comparison), SIMD IN-list membership, the fused
-//! single-comparison scan, the opt-in reassociated `fast_sum` masked
-//! aggregation, and sampled estimation, and writes `BENCH_scan.json` at
-//! the repo root so every PR records per-tier rows/sec, the
-//! tier-over-tier speedups (including avx512-vs-avx2 where both exist)
-//! and the dispatched kernel tier (`kernel_tier`).
+//! single-comparison scan, and sampled estimation, and writes
+//! `BENCH_scan.json` at the repo root so every PR records per-tier
+//! rows/sec, the tier-over-tier speedups (including avx512-vs-avx2 where
+//! both exist), the dispatched kernel tier (`kernel_tier`) and the host's
+//! core count (`host_cores`).
 //!
 //! End-to-end numbers (wire round trips at table scale) come from the
 //! standalone benchmark under `benchmark/`, not from this report.
@@ -259,43 +259,6 @@ fn main() {
         }),
     });
 
-    // Opt-in fast_sum masked aggregation: the mask is precomputed once so
-    // the timing isolates the reassociated masked sum (`agg_masked_fast`)
-    // against the exact ascending-row walk used as the scalar baseline.
-    // A dense (~98 %) mask is the shape fast_sum exists for — the exact
-    // walk visits matching rows one at a time, the fast kernel sums whole
-    // vectors under the mask — and the same cache-resident hot-slice
-    // sweep keeps the ratio a compute measurement, not a DRAM one.
-    {
-        // f64 rows are 8x wider than the u8 slice above, so the
-        // L1-resident slice is correspondingly shorter (4 Ki × 8 B =
-        // 32 KiB) and swept more often.
-        const F64_HOT_ROWS: usize = 4 * 1024;
-        const F64_HOT_SWEEPS: usize = 256;
-        let f64_hot = Partition::from_columns(
-            vec![DimensionColumn::UInt8(age_data[..F64_HOT_ROWS].to_vec())],
-            vec![partition.measure(0)[..F64_HOT_ROWS].to_vec()],
-        )
-        .unwrap();
-        let dense = CompiledPredicate::Cmp { dim: 0, op: CmpOp::Ge, value: 19 };
-        let dense_mask = evaluate_scalar(&dense, &f64_hot);
-        let hot_values = f64_hot.measure(0);
-        benches.push(Bench {
-            name: "fast_sum_masked_aggregation",
-            rows: F64_HOT_ROWS * F64_HOT_SWEEPS,
-            scalar_secs: time_median(|| {
-                for _ in 0..F64_HOT_SWEEPS {
-                    black_box(aggregate_masked_scalar(&f64_hot, 0, &dense_mask));
-                }
-            }),
-            tier_secs: per_tier_secs(&tiers, |ks| {
-                for _ in 0..F64_HOT_SWEEPS {
-                    black_box(ks.agg_masked_fast(hot_values, &dense_mask));
-                }
-            }),
-        });
-    }
-
     // Sampled estimation (FlashP's online path) on a 1 % GSW sample:
     // scalar = the pre-change estimate_agg loop — scalar predicate
     // evaluation, then per matched row a division by π plus the full HT
@@ -345,6 +308,7 @@ fn main() {
         "reps": REPS,
         "unit": "rows_per_sec",
         "kernel_tier": tier_name,
+        "host_cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "tiers_measured": tiers.iter().map(|k| k.tier().name()).collect::<Vec<_>>(),
         "benches": reports,
     });

@@ -86,10 +86,6 @@ pub struct EngineConfig {
     pub threads: usize,
     /// If set, SQL statements must reference this table name.
     pub table_name: Option<String>,
-    /// Default float-sum mode for exact full scans: `false` keeps the
-    /// bit-identical ascending-row accumulation, `true` opts every query
-    /// into reassociated vector sums unless it says `OPTION (FAST_SUM = 0)`.
-    pub fast_sum: bool,
     /// Enable the versioned day-partial cache (on by default): memoized
     /// per-(cell, predicate, measure) HT components and exact day states,
     /// invalidated structurally by publish. Bit-identical to recomputation
@@ -112,7 +108,6 @@ impl Default for EngineConfig {
             default_rate: 0.001,
             threads: default_threads(),
             table_name: None,
-            fast_sum: false,
             partial_cache: true,
         }
     }

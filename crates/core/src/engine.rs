@@ -39,7 +39,7 @@ use crate::prepared::{training_series, ExecCtx, PreparedQuery, SpecCache, SPEC_C
 use crate::result::{ExecOutput, ForecastResult, SelectResult, SeriesPoint};
 use crate::version::{CatalogDelta, CatalogVersion, IngestBatch, PublishStats};
 use flashp_query::{parse, Statement};
-use flashp_storage::{AggFunc, CompiledPredicate, SumMode, TimeSeriesTable, Timestamp};
+use flashp_storage::{AggFunc, CompiledPredicate, TimeSeriesTable, Timestamp};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
@@ -581,8 +581,7 @@ impl FlashPEngine {
                 catalog_version: catalog.version(),
             }
         };
-        let days =
-            self.ctx(&snapshot).day_partials(&source, measure, pred, start, end, SumMode::Exact)?;
+        let days = self.ctx(&snapshot).day_partials(&source, measure, pred, start, end)?;
         let sampled = matches!(source, ScanSource::SampleLayer { .. });
         let points = training_series(&days, (start, end), agg, sampled)?;
         Ok((points, source.sampler_label().to_string(), source.rate_used()))
@@ -1157,7 +1156,6 @@ mod tests {
                 range: crate::planner::TimeRangeSlot::Static(None),
                 rate: 1.0,
                 group_by_time: false,
-                fast_sum: false,
                 num_params: 0,
                 source: crate::planner::SourceSlot::Planned(crate::planner::ScanSource::FullScan {
                     est_rows: 0,

@@ -5,7 +5,7 @@
 use crate::planner::{
     ForecastPlan, LogicalPlan, PredicateSlot, ScanSource, SelectPlan, SourceSlot, TimeRangeSlot,
 };
-use flashp_storage::{CompiledPredicate, Schema, SumMode};
+use flashp_storage::{CompiledPredicate, Schema};
 use std::fmt;
 
 /// One node of an `EXPLAIN` tree: an operator name, key/value properties,
@@ -105,18 +105,9 @@ fn explain_forecast(p: &ForecastPlan, schema: &Schema, partial_cache: bool) -> P
         .with("noise_aware", p.noise_aware)
         .child(
             series
-                .child(source_slot_node(&p.source, sum_mode(p.fast_sum), partial_cache))
+                .child(source_slot_node(&p.source, partial_cache))
                 .child(predicate_node(&p.predicate, schema)),
         )
-}
-
-/// The plan's float-sum mode for exact full-scan paths.
-fn sum_mode(fast_sum: bool) -> SumMode {
-    if fast_sum {
-        SumMode::Fast
-    } else {
-        SumMode::Exact
-    }
 }
 
 fn explain_select(p: &SelectPlan, schema: &Schema, partial_cache: bool) -> PlanNode {
@@ -128,13 +119,13 @@ fn explain_select(p: &SelectPlan, schema: &Schema, partial_cache: bool) -> PlanN
         TimeRangeSlot::Static(None) => node.with("range", "empty"),
         TimeRangeSlot::Dynamic(w) => node.with("range", "dynamic").with("window", w),
     };
-    node.child(source_slot_node(&p.source, sum_mode(p.fast_sum), partial_cache))
+    node.child(source_slot_node(&p.source, partial_cache))
         .child(predicate_node(&p.predicate, schema))
 }
 
-fn source_slot_node(slot: &SourceSlot, sum: SumMode, partial_cache: bool) -> PlanNode {
+fn source_slot_node(slot: &SourceSlot, partial_cache: bool) -> PlanNode {
     match slot {
-        SourceSlot::Planned(source) => source_node(source, sum, partial_cache),
+        SourceSlot::Planned(source) => source_node(source, partial_cache),
         // A parameterized range can't pick its serving layer until the
         // parameters bind; `PreparedQuery::explain_with` renders the
         // concrete choice for one binding.
@@ -144,7 +135,7 @@ fn source_slot_node(slot: &SourceSlot, sum: SumMode, partial_cache: bool) -> Pla
     }
 }
 
-fn source_node(source: &ScanSource, sum: SumMode, partial_cache: bool) -> PlanNode {
+fn source_node(source: &ScanSource, partial_cache: bool) -> PlanNode {
     // The scan-kernel tier is process-global (dispatched once at startup,
     // see `flashp_storage::simd`), so it is reported on the scan source
     // rather than stored in the plan: whatever tier is active is exactly
@@ -153,13 +144,10 @@ fn source_node(source: &ScanSource, sum: SumMode, partial_cache: bool) -> PlanNo
     let simd = flashp_storage::simd::active_tier();
     let cache = if partial_cache { "on" } else { "off" };
     match source {
-        // `sum` is a property of the exact scan only: sampled estimation
-        // keeps its own accumulation order regardless of FAST_SUM.
         ScanSource::FullScan { est_rows } => PlanNode::new("FullScan")
             .with("sampler", "full scan")
             .with("est_rows", est_rows)
             .with("simd", simd)
-            .with("sum", sum.name())
             .with("partial_cache", cache),
         ScanSource::SampleLayer {
             layer,
@@ -301,20 +289,6 @@ mod tests {
         assert_eq!(scan.prop("sampler"), Some("full scan"));
         assert_eq!(scan.prop("est_rows"), Some("400"));
         assert_eq!(scan.prop("simd"), Some(flashp_storage::simd::active_tier().name()));
-        assert_eq!(scan.prop("sum"), Some("exact"));
         assert_eq!(scan.prop("partial_cache"), Some("on"));
-    }
-
-    #[test]
-    fn fast_sum_option_is_reported_on_the_exact_scan() {
-        let node = explain("SELECT SUM(m1) FROM T WHERE t = 20200101 OPTION (FAST_SUM = 1)");
-        assert_eq!(node.find("FullScan").unwrap().prop("sum"), Some("fast"));
-        // Sampled sources never report a sum mode — estimation keeps its
-        // own accumulation order.
-        let sampled = explain(
-            "FORECAST SUM(m1) FROM T WHERE seg <= 5 USING (20200101, 20200202) \
-             OPTION (FAST_SUM = 1)",
-        );
-        assert_eq!(sampled.find("SampleEstimate").unwrap().prop("sum"), None);
     }
 }

@@ -26,9 +26,7 @@
 //!   FNV-1a walk of the compiled predicate tree (float comparisons hash
 //!   their bit patterns; derived lookup structures are excluded).
 //! * **measure** — the measure column index.
-//! * **kind** — [`DayPartial::Sampled`] vs [`DayPartial::Exact`]
-//!   (further split by [`SumMode`], whose fast path is reassociated and so
-//!   not interchangeable with exact sums).
+//! * **kind** — [`DayPartial::Sampled`] vs [`DayPartial::Exact`].
 //!
 //! The aggregate function is deliberately **not** part of the key:
 //! `estimate_agg_with` is defined as `estimate_components_with(..)?
@@ -61,7 +59,7 @@
 use crate::bounded::BoundedMap;
 use crate::config::EngineConfig;
 use crate::prepared::DayPartial;
-use flashp_storage::{CmpOp, CompiledPredicate, SumMode};
+use flashp_storage::{CmpOp, CompiledPredicate};
 use std::sync::{Mutex, MutexGuard};
 
 /// Total entry capacity of a [`PartialCache`] (across its internal lock
@@ -167,17 +165,9 @@ pub(crate) fn predicate_fingerprint(pred: &CompiledPredicate) -> u64 {
     h
 }
 
-/// Cache-key `kind` discriminants: sampled components vs exact states per
-/// [`SumMode`]. Exact and fast sums are distinct contracts (fast is
-/// reassociated), so they never share entries.
+/// Cache-key `kind` discriminants: sampled components vs exact states.
 pub(crate) const KIND_SAMPLED: u8 = 0;
-
-pub(crate) fn exact_kind(sum: SumMode) -> u8 {
-    match sum {
-        SumMode::Exact => 1,
-        SumMode::Fast => 2,
-    }
-}
+pub(crate) const KIND_EXACT: u8 = 1;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
@@ -445,13 +435,11 @@ mod tests {
     #[test]
     fn kinds_do_not_alias() {
         let cache = PartialCache::new(16);
-        let (exact, fast) = (exact_kind(SumMode::Exact), exact_kind(SumMode::Fast));
         let state = DayPartial::Exact(AggState { sum: 5.0, count: 2 });
         cache.put(1, 2, 3, KIND_SAMPLED, DayPartial::Sampled(EstimateComponents::default()));
-        assert!(cache.get(1, 2, 3, exact).is_none());
-        cache.put(1, 2, 3, exact, state);
-        assert!(cache.get(1, 2, 3, fast).is_none());
-        assert_eq!(cache.get(1, 2, 3, exact), Some(state));
+        assert!(cache.get(1, 2, 3, KIND_EXACT).is_none());
+        cache.put(1, 2, 3, KIND_EXACT, state);
+        assert_eq!(cache.get(1, 2, 3, KIND_EXACT), Some(state));
         assert!(cache.get(1, 2, 3, KIND_SAMPLED).is_some());
     }
 }

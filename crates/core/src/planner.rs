@@ -19,6 +19,31 @@ use flashp_query::{
 };
 use flashp_storage::{AggFunc, CompiledPredicate, TimeSeriesTable, Timestamp};
 
+/// The `OPTION (…)` keys a FORECAST statement accepts.
+const FORECAST_OPTIONS: [&str; 5] =
+    ["SAMPLE_RATE", "MODEL", "FORE_PERIOD", "CONFIDENCE", "NOISE_AWARE"];
+
+/// The `OPTION (…)` keys a SELECT statement accepts.
+const SELECT_OPTIONS: [&str; 1] = ["SAMPLE_RATE"];
+
+/// Reject the first `OPTION (…)` key outside `accepted` (compared
+/// case-insensitively, like option lookup). The clause is a declarative
+/// contract, so a misspelt key must fail the plan rather than leave its
+/// setting at the default.
+fn check_option_keys(
+    kind: &str,
+    options: &[(String, OptionValue)],
+    accepted: &[&str],
+) -> Result<(), EngineError> {
+    match options.iter().find(|(k, _)| !accepted.iter().any(|a| k.eq_ignore_ascii_case(a))) {
+        Some((key, _)) => Err(EngineError::Config(format!(
+            "unknown {kind} option {key} (accepted: {})",
+            accepted.join(", ")
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Resolve and validate a `SAMPLE_RATE` option (shared by FORECAST and
 /// SELECT planning).
 fn sample_rate_option(option: Option<&OptionValue>, default: f64) -> Result<f64, EngineError> {
@@ -188,10 +213,6 @@ pub struct ForecastPlan {
     pub confidence: f64,
     /// Noise-aware interval widening (Proposition 1).
     pub noise_aware: bool,
-    /// Reassociated vector float sums for exact scan paths
-    /// (`OPTION (FAST_SUM = 1)`; defaults from
-    /// [`EngineConfig::fast_sum`]).
-    pub fast_sum: bool,
     /// Total `?` placeholders in the statement (constraint + window).
     pub num_params: usize,
     /// Where the training estimates come from (full scan vs sample layer;
@@ -236,10 +257,6 @@ pub struct SelectPlan {
     pub rate: f64,
     /// One row per timestamp (`GROUP BY t`) vs a single scalar row.
     pub group_by_time: bool,
-    /// Reassociated vector float sums for exact scan paths
-    /// (`OPTION (FAST_SUM = 1)`; defaults from
-    /// [`EngineConfig::fast_sum`]).
-    pub fast_sum: bool,
     /// Total `?` placeholders in the statement (constraint + window).
     pub num_params: usize,
     /// Where the answer comes from (full scan vs sample layer; deferred
@@ -564,6 +581,7 @@ impl<'a> Planner<'a> {
     /// dynamic; every other plan constant is still resolved here.
     pub fn plan_forecast(&self, stmt: &ForecastStmt) -> Result<ForecastPlan, EngineError> {
         self.check_table(&stmt.table)?;
+        check_option_keys("FORECAST", &stmt.options, &FORECAST_OPTIONS)?;
         let measure = self.resolve_measure(&stmt.measure, stmt.agg)?;
         let predicate = self.predicate_slot(&stmt.constraint)?;
         // Options.
@@ -596,13 +614,14 @@ impl<'a> Planner<'a> {
                 .ok_or_else(|| EngineError::Config("CONFIDENCE must be numeric".to_string()))?,
             None => self.config.default_confidence,
         };
-        let noise_aware =
-            stmt.option("NOISE_AWARE").and_then(|v| v.as_int()).map(|v| v != 0).unwrap_or(false);
-        let fast_sum = stmt
-            .option("FAST_SUM")
-            .and_then(|v| v.as_int())
-            .map(|v| v != 0)
-            .unwrap_or(self.config.fast_sum);
+        let noise_aware = match stmt.option("NOISE_AWARE") {
+            Some(v) => {
+                v.as_int().ok_or_else(|| {
+                    EngineError::Config("NOISE_AWARE must be an integer".to_string())
+                })? != 0
+            }
+            None => false,
+        };
 
         // Literal endpoints are calendar-validated now; `?` endpoints when
         // bound.
@@ -662,7 +681,6 @@ impl<'a> Planner<'a> {
             horizon,
             confidence,
             noise_aware,
-            fast_sum,
             num_params: stmt.num_params(),
             source,
         })
@@ -673,16 +691,12 @@ impl<'a> Planner<'a> {
     /// the `SAMPLE_RATE` option (default exact).
     pub fn plan_select(&self, stmt: &SelectStmt) -> Result<SelectPlan, EngineError> {
         self.check_table(&stmt.table)?;
+        check_option_keys("SELECT", &stmt.options, &SELECT_OPTIONS)?;
         let measure = self.resolve_measure(&stmt.measure, stmt.agg)?;
         let split = split_select_constraint(stmt)?;
         let predicate = self.predicate_slot(&split.dims)?;
         // SELECT is exact unless a rate is requested.
         let rate = sample_rate_option(stmt.option("SAMPLE_RATE"), 1.0)?;
-        let fast_sum = stmt
-            .option("FAST_SUM")
-            .and_then(|v| v.as_int())
-            .map(|v| v != 0)
-            .unwrap_or(self.config.fast_sum);
         let num_params = stmt.num_params();
         let make = |range, source| SelectPlan {
             agg: stmt.agg,
@@ -692,7 +706,6 @@ impl<'a> Planner<'a> {
             range,
             rate,
             group_by_time: stmt.group_by_time,
-            fast_sum,
             num_params,
             source,
         };

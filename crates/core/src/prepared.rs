@@ -17,7 +17,7 @@ use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::explain::{explain_plan, PlanNode};
 use crate::models::build_model;
-use crate::partial_cache::{exact_kind, predicate_fingerprint, PartialCache, KIND_SAMPLED};
+use crate::partial_cache::{predicate_fingerprint, PartialCache, KIND_EXACT, KIND_SAMPLED};
 use crate::planner::{
     resolve_forecast_window, resolve_select_range, specialize_forecast, specialize_plan,
     specialize_select, ForecastPlan, LogicalPlan, PredicateSlot, ScanSource, SelectPlan,
@@ -231,8 +231,8 @@ impl ExecCtx<'_> {
 
     /// Phase 1 (Eq. 4): the days `source` holds in `[lo, hi]`, ascending,
     /// each with its [`DayPartial`] — HT components per sampled cell of
-    /// the source's bucket, or the exact state per table partition under
-    /// `sum`. Days without a cell or partition are absent.
+    /// the source's bucket, or the exact state per table partition. Days
+    /// without a cell or partition are absent.
     ///
     /// Each day is probed in the partial cache by `(cell or partition id,
     /// predicate fingerprint, measure, kind)`; the misses are computed in
@@ -249,7 +249,6 @@ impl ExecCtx<'_> {
         pred: &CompiledPredicate,
         lo: Timestamp,
         hi: Timestamp,
-        sum: SumMode,
     ) -> Result<Vec<(Timestamp, DayPartial)>, EngineError> {
         let num_measures = self.table.schema().num_measures();
         if measure >= num_measures {
@@ -269,7 +268,7 @@ impl ExecCtx<'_> {
         let (days, kind, threads): (Vec<(Timestamp, DaySource<'_>)>, u8, usize) = match source {
             ScanSource::FullScan { .. } => {
                 let parts = self.table.partitions_in(lo, hi).map(|(t, p)| (t, DaySource::Exact(p)));
-                (parts.collect(), exact_kind(sum), self.config.threads)
+                (parts.collect(), KIND_EXACT, self.config.threads)
             }
             ScanSource::SampleLayer { bucket, .. } => {
                 let layer = self.layer(source)?;
@@ -286,9 +285,13 @@ impl ExecCtx<'_> {
         let missing: Vec<usize> = (0..days.len()).filter(|&i| out[i].is_none()).collect();
         let computed =
             parallel_map_with(&missing, threads, MaskScratch::new, |scratch, &i| match days[i].1 {
-                DaySource::Exact(part) => {
-                    DayPartial::Exact(eval_partition_with(part, measure, pred, scratch, sum))
-                }
+                DaySource::Exact(part) => DayPartial::Exact(eval_partition_with(
+                    part,
+                    measure,
+                    pred,
+                    scratch,
+                    SumMode::Exact,
+                )),
                 DaySource::Sampled(cell) => DayPartial::Sampled(
                     estimate_components_with(&cell.sample, measure, pred, scratch)
                         .expect("measure index checked against the schema"),
@@ -385,8 +388,7 @@ impl ExecCtx<'_> {
         let source = plan.source.planned()?;
         let pred = self.resolve_predicate(&plan.predicate, params)?;
         let agg_start = Instant::now();
-        let sum = if plan.fast_sum { SumMode::Fast } else { SumMode::Exact };
-        let days = self.day_partials(source, plan.measure, &pred, t_start, t_end, sum)?;
+        let days = self.day_partials(source, plan.measure, &pred, t_start, t_end)?;
         let aggregation = agg_start.elapsed();
         assemble_forecast(&plan, (t_start, t_end), &days, SourceMeta::of(source), aggregation)
     }
@@ -414,8 +416,7 @@ impl ExecCtx<'_> {
             return Ok(SelectResult { rows: Vec::new(), approximate: false });
         };
         let source = plan.source.planned()?;
-        let sum = if plan.fast_sum { SumMode::Fast } else { SumMode::Exact };
-        let days = self.day_partials(source, plan.measure, &pred, lo, hi, sum)?;
+        let days = self.day_partials(source, plan.measure, &pred, lo, hi)?;
         assemble_select(&plan, lo, &days, matches!(source, ScanSource::SampleLayer { .. }))
     }
 }

@@ -59,7 +59,7 @@ use crate::prepared::{assemble_forecast, assemble_select, check_arity, DayPartia
 use crate::result::{ExecOutput, ForecastResult, SelectResult};
 use crate::version::{CatalogVersion, IngestBatch, IngestItem, PublishStats};
 use flashp_query::{parse, split_select_constraint, Literal, Statement};
-use flashp_storage::{SumMode, TimeSeriesTable, Timestamp, Value};
+use flashp_storage::{TimeSeriesTable, Timestamp, Value};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -267,13 +267,11 @@ fn slot_response(
     params: &[Literal],
 ) -> Result<ShardResponse, EngineError> {
     let ctx = engine.ctx(version);
-    let (predicate, source, measure, range, fast_sum) = match plan {
+    let (predicate, source, measure, range) = match plan {
         LogicalPlan::Forecast(p) => {
-            (&p.predicate, p.source.planned()?, p.measure, Some(p.window()?), p.fast_sum)
+            (&p.predicate, p.source.planned()?, p.measure, Some(p.window()?))
         }
-        LogicalPlan::Select(p) => {
-            (&p.predicate, p.source.planned()?, p.measure, p.static_range()?, p.fast_sum)
-        }
+        LogicalPlan::Select(p) => (&p.predicate, p.source.planned()?, p.measure, p.static_range()?),
     };
     let Some((lo, hi)) = range else {
         return Ok(ShardResponse {
@@ -283,9 +281,8 @@ fn slot_response(
         });
     };
     let pred = ctx.resolve_predicate(predicate, params)?;
-    let sum = if fast_sum { SumMode::Fast } else { SumMode::Exact };
     Ok(ShardResponse {
-        days: ctx.day_partials(source, measure, &pred, lo, hi, sum)?,
+        days: ctx.day_partials(source, measure, &pred, lo, hi)?,
         est_rows: source.est_rows(),
         range: Some((lo, hi)),
         sampled: matches!(source, ScanSource::SampleLayer { .. }),

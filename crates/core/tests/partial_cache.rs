@@ -333,7 +333,7 @@ fn exact_path_warm_matches_the_uncached_oracle() {
          GROUP BY t",
         "FORECAST COUNT(*) FROM ads USING (20200101, 20200126) \
          OPTION (MODEL = 'naive', SAMPLE_RATE = 1.0)",
-        "SELECT SUM(Impression) FROM ads WHERE age <= 30 AND t = 20200105 OPTION (FAST_SUM = 1)",
+        "SELECT SUM(Impression) FROM ads WHERE age <= 30 AND t = 20200105",
     ] {
         let want = oracle.execute(sql).unwrap();
         for temp in ["cold", "warm"] {
@@ -462,7 +462,7 @@ fn gap_day_answers_match_a_public_reference_bit_for_bit() {
 
     let comps = reference_components(&catalog, &pred, lo, hi);
     assert_eq!(comps.len(), (hi - lo) as usize, "exactly the gap day is absent");
-    let options = ScanOptions { threads: 2, ..Default::default() };
+    let options = ScanOptions { threads: 2 };
     let states = aggregate_states_range(&table, 0, &pred, ts(lo), ts(hi), options).unwrap();
     assert_eq!(states.len(), comps.len());
 

@@ -147,7 +147,7 @@ mod tests {
             AggFunc::Sum,
             a.start(),
             a.end(),
-            ScanOptions { threads: 1, ..Default::default() },
+            ScanOptions { threads: 1 },
         )
         .unwrap();
         let pred_b = b.table.compile_predicate(&Predicate::True).unwrap();
@@ -158,7 +158,7 @@ mod tests {
             AggFunc::Sum,
             b.start(),
             b.end(),
-            ScanOptions { threads: 4, ..Default::default() },
+            ScanOptions { threads: 4 },
         )
         .unwrap();
         assert_eq!(sa, sb, "generation must not depend on threading");

@@ -4,10 +4,9 @@
 //! row enters the sample independently with probability `w_i / (Δ + w_i)`
 //! (Eq. 6). Larger Δ → smaller samples. Because inclusion is independent
 //! per row, the sampler distributes/parallelizes trivially and supports
-//! incremental maintenance (see [`crate::incremental`]).
+//! incremental maintenance (see [`GswCellState`]).
 
 use crate::error::SamplingError;
-use crate::incremental::GswCellState;
 use crate::sample::{MeasureScope, Sample};
 use crate::sampler::{SampleSize, Sampler};
 use crate::weights::WeightStrategy;
@@ -53,6 +52,70 @@ pub fn delta_for_expected_size(weights: &[f64], target: f64) -> Result<f64, Samp
         }
     }
     Ok(0.5 * (lo + hi))
+}
+
+/// The draw state of one GSW sample cell, retained so the cell can be
+/// maintained *incrementally* when its source partition grows (§4.1).
+///
+/// Each row's uniform draw `u_i` determines membership through the key
+/// `κ_i = (1/u_i − 1)·w_i`: row `i` is retained at threshold Δ iff
+/// `κ_i ≥ Δ` ⇔ `u_i < w_i/(Δ+w_i)`. Storing `u_i` for the retained rows
+/// (plus the RNG state after one draw per source row) lets a later,
+/// larger Δ′ be applied by
+///
+/// 1. *evicting* retained rows whose key falls below Δ′ — a filter over
+///    `|S|` stored draws, never touching the rows outside the sample
+///    (rejected rows have `κ < Δ ≤ Δ′` and stay rejected for free); and
+/// 2. *offering* only the newly appended rows, continuing the cell's
+///    deterministic draw stream where it left off.
+///
+/// Because the stream position of every row's draw is preserved, the
+/// absorbed sample is **bit-for-bit identical** to what a fresh
+/// [`Sampler::sample`] of the same [`GswSampler`] over the grown
+/// partition (with the same seed) would draw — the invariant the
+/// catalog-delta layer's tests pin.
+///
+/// Produced by [`GswSampler::sample_recording`] and advanced by
+/// [`GswSampler::absorb`].
+#[derive(Debug, Clone)]
+pub struct GswCellState {
+    /// Δ the cell was last drawn at.
+    pub(crate) delta: f64,
+    /// Uniform draws `u_i` of the retained rows, in row order.
+    pub(crate) draws: Vec<f64>,
+    /// Source-partition row indices of the retained rows, ascending.
+    pub(crate) indices: Vec<usize>,
+    /// RNG state after consuming one draw per source-partition row.
+    pub(crate) rng: StdRng,
+    /// Source-partition rows drawn over so far.
+    pub(crate) population: usize,
+}
+
+impl GswCellState {
+    /// Δ the cell was last drawn at.
+    pub fn delta(&self) -> f64 {
+        self.delta
+    }
+
+    /// Number of retained rows the state tracks.
+    pub fn len(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// Whether the cell retains no rows.
+    pub fn is_empty(&self) -> bool {
+        self.indices.is_empty()
+    }
+
+    /// Source-partition rows drawn over so far.
+    pub fn population_rows(&self) -> usize {
+        self.population
+    }
+
+    /// Approximate heap footprint in bytes (draws + indices).
+    pub fn byte_size(&self) -> usize {
+        self.draws.len() * 8 + self.indices.len() * std::mem::size_of::<usize>()
+    }
 }
 
 /// The GSW sampler: weight strategy + target size (resolved into Δ per

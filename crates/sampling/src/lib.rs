@@ -19,7 +19,7 @@
 //!
 //! Baselines for the paper's experiments live alongside: uniform Bernoulli
 //! ([`uniform`]), priority \[21\] ([`priority`]), threshold \[20\]
-//! ([`threshold`]). [`incremental`] maintains a GSW sample under row
+//! ([`threshold`]). [`GswSampler::absorb`] maintains a GSW sample under row
 //! arrivals by raising Δ without touching unsampled rows (§4.1);
 //! [`grouping`] partitions measures into compressed-sample groups via the
 //! KCENTER greedy algorithm on normalized L1 distance (§4.2). The
@@ -33,7 +33,6 @@ pub mod error;
 pub mod estimator;
 pub mod grouping;
 pub mod gsw;
-pub mod incremental;
 pub mod priority;
 pub mod sample;
 pub mod sampler;
@@ -47,8 +46,7 @@ pub use estimator::{
     Estimate, EstimateComponents,
 };
 pub use grouping::{group_measures, MeasureGroups};
-pub use gsw::{delta_for_expected_size, GswSampler};
-pub use incremental::{GswCellState, IncrementalGswSample};
+pub use gsw::{delta_for_expected_size, GswCellState, GswSampler};
 pub use priority::PrioritySampler;
 pub use sample::Sample;
 pub use sampler::{SampleSize, Sampler};

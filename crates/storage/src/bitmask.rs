@@ -58,14 +58,6 @@ impl Bitmask {
         self.words.iter().any(|&w| w != 0)
     }
 
-    /// Packed words for the crate's kernel readers (64 rows each, low bit
-    /// = lowest row index); bits at or beyond `len` in the last word are
-    /// always zero.
-    #[inline]
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Mutable packed words for the crate's kernel writers (64 rows each,
     /// low bit = lowest row index). Callers must keep the bits at or
     /// beyond `len` in the last word zero.

@@ -48,10 +48,7 @@ pub use column::{Dictionary, DimensionColumn};
 pub use error::StorageError;
 pub use partition::{Partition, PartitionBuilder};
 pub use predicate::{CmpOp, CompiledPredicate, InLookup, MaskScratch, Predicate};
-pub use scan::{
-    aggregate_range, aggregate_states_range, aggregate_total, selectivity_range, ScanOptions,
-    SumMode,
-};
+pub use scan::{aggregate_range, aggregate_states_range, ScanOptions, SumMode};
 pub use schema::{DimensionDef, MeasureDef, Schema, SchemaRef};
 pub use simd::{KernelSet, KernelTier};
 pub use table::{eval_partition_with, TimeSeriesTable};

@@ -547,38 +547,6 @@ impl CompiledPredicate {
         }
     }
 
-    /// Evaluate for a single row (for row-at-a-time consumers; the scan
-    /// paths use the word-at-a-time kernels instead).
-    pub fn matches_row(&self, partition: &Partition, row: usize) -> bool {
-        match self {
-            CompiledPredicate::Const(b) => *b,
-            CompiledPredicate::Cmp { dim, op, value } => match partition.dim(*dim) {
-                // Direct-constructed integer predicates against a float
-                // column compare by value, not by the bit pattern that
-                // `get_i64` would hand back.
-                DimensionColumn::Float64(v) => op.apply_f64(v[row], *value as f64),
-                col => op.apply(col.get_i64(row), *value),
-            },
-            CompiledPredicate::CmpF64 { dim, op, value } => {
-                op.apply_f64(partition.dim(*dim).get_f64(row), *value)
-            }
-            CompiledPredicate::InSet { dim, values, .. } => match partition.dim(*dim) {
-                DimensionColumn::Float64(v) => {
-                    let x = v[row];
-                    values.iter().any(|&w| x == w as f64)
-                }
-                col => values.binary_search(&col.get_i64(row)).is_ok(),
-            },
-            CompiledPredicate::And(children) => {
-                children.iter().all(|c| c.matches_row(partition, row))
-            }
-            CompiledPredicate::Or(children) => {
-                children.iter().any(|c| c.matches_row(partition, row))
-            }
-            CompiledPredicate::Not(child) => !child.matches_row(partition, row),
-        }
-    }
-
     /// Conservative zone-map check: returns `false` only if the partition
     /// provably contains no matching row.
     pub fn may_match(&self, zone_maps: &ZoneMaps) -> bool {
@@ -871,17 +839,6 @@ mod tests {
         assert!(Predicate::eq("Age", "thirty").compile(&schema, &dicts).is_err());
         assert!(Predicate::eq("Gender", 1).compile(&schema, &dicts).is_err());
         assert!(Predicate::eq("Nope", 1).compile(&schema, &dicts).is_err());
-    }
-
-    #[test]
-    fn matches_row_agrees_with_evaluate() {
-        let (schema, dicts, p) = setup();
-        let pred = Predicate::cmp("Age", CmpOp::Le, 30).and(Predicate::eq("Gender", "F"));
-        let compiled = pred.compile(&schema, &dicts).unwrap();
-        let mask = compiled.evaluate(&p);
-        for i in 0..p.num_rows() {
-            assert_eq!(mask.get(i), compiled.matches_row(&p, i));
-        }
     }
 
     #[test]

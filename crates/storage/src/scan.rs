@@ -13,28 +13,15 @@ use crate::predicate::{CompiledPredicate, MaskScratch};
 use crate::table::{eval_partition_with, TimeSeriesTable};
 use crate::timestamp::Timestamp;
 
-/// Float-sum accumulation contract for masked aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Float-sum accumulation contract for masked aggregation: sums run in
+/// ascending row order, bit-identical to the scalar reference on every
+/// kernel tier. It has one variant; it remains a type, and an argument
+/// of [`eval_partition_with`], only because the wire benchmark's layer
+/// probe (`benchmark/src/layers.rs`) passes `SumMode::Exact`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SumMode {
-    /// Sum matching rows in ascending row order — bit-identical to the
-    /// scalar reference on every kernel tier. The default.
-    #[default]
+    /// Sum matching rows in ascending row order.
     Exact,
-    /// Opt-in reassociated horizontal sums (masked vector accumulators on
-    /// AVX2/AVX-512). Counts stay exact and results are deterministic for
-    /// a given tier, but sums may differ from [`SumMode::Exact`] by
-    /// accumulated rounding — and therefore across tiers.
-    Fast,
-}
-
-impl SumMode {
-    /// EXPLAIN spelling (`sum=exact` / `sum=fast`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SumMode::Exact => "exact",
-            SumMode::Fast => "fast",
-        }
-    }
 }
 
 /// Options controlling a range scan.
@@ -42,13 +29,11 @@ impl SumMode {
 pub struct ScanOptions {
     /// Worker threads; defaults to [`default_threads`].
     pub threads: usize,
-    /// Float-sum accumulation mode; defaults to [`SumMode::Exact`].
-    pub sum: SumMode,
 }
 
 impl Default for ScanOptions {
     fn default() -> Self {
-        ScanOptions { threads: default_threads(), sum: SumMode::default() }
+        ScanOptions { threads: default_threads() }
     }
 }
 
@@ -91,7 +76,7 @@ fn scan_states<'a>(
         table.partitions_in(start, end).collect();
     let states: Vec<AggState> =
         parallel_map_with(&parts, options.threads, MaskScratch::new, |scratch, (_, p)| {
-            eval_partition_with(p, measure_idx, pred, scratch, options.sum)
+            eval_partition_with(p, measure_idx, pred, scratch, SumMode::Exact)
         });
     Ok((parts, states))
 }
@@ -113,51 +98,6 @@ pub fn aggregate_states_range(
 ) -> Result<Vec<(Timestamp, AggState)>, StorageError> {
     let (parts, states) = scan_states(table, measure_idx, pred, start, end, options)?;
     Ok(parts.iter().zip(states).map(|((t, _), s)| (*t, s)).collect())
-}
-
-/// Scalar aggregate of `measure_idx` under `pred` across all partitions in
-/// `[start, end]`, merged into one [`AggState`] — the non-grouped SELECT
-/// path. Runs the same fused / scratch-reusing per-partition kernels as
-/// [`aggregate_range`].
-pub fn aggregate_total(
-    table: &TimeSeriesTable,
-    measure_idx: usize,
-    pred: &CompiledPredicate,
-    start: Timestamp,
-    end: Timestamp,
-    options: ScanOptions,
-) -> Result<AggState, StorageError> {
-    let (_, states) = scan_states(table, measure_idx, pred, start, end, options)?;
-    let mut total = AggState::default();
-    for s in states {
-        total.merge(s);
-    }
-    Ok(total)
-}
-
-/// Per-timestamp selectivity over a range (fraction of rows matching), used
-/// by workload generators to calibrate constraints.
-pub fn selectivity_range(
-    table: &TimeSeriesTable,
-    pred: &CompiledPredicate,
-    start: Timestamp,
-    end: Timestamp,
-    options: ScanOptions,
-) -> Vec<(Timestamp, f64)> {
-    let parts: Vec<(Timestamp, &crate::partition::Partition)> =
-        table.partitions_in(start, end).collect();
-    let sel: Vec<f64> =
-        parallel_map_with(&parts, options.threads, MaskScratch::new, |scratch, (_, p)| {
-            if p.num_rows() == 0 {
-                0.0
-            } else {
-                let mask = pred.evaluate_into(p, scratch);
-                let matched = mask.count_ones();
-                scratch.release(mask);
-                matched as f64 / p.num_rows() as f64
-            }
-        });
-    parts.iter().zip(sel).map(|((t, _), s)| (*t, s)).collect()
 }
 
 #[cfg(test)]
@@ -191,7 +131,7 @@ mod tests {
             AggFunc::Sum,
             start,
             start + 9,
-            ScanOptions { threads: 3, ..Default::default() },
+            ScanOptions { threads: 3 },
         )
         .unwrap();
         assert_eq!(out.len(), 10);
@@ -244,42 +184,11 @@ mod tests {
     }
 
     #[test]
-    fn total_matches_sum_of_range() {
-        let table = table(10, 20);
-        let pred = table.compile_predicate(&Predicate::cmp("k", CmpOp::Lt, 5)).unwrap();
-        let start = Timestamp::from_yyyymmdd(20200101).unwrap();
-        let per_day = aggregate_range(
-            &table,
-            0,
-            &pred,
-            AggFunc::Sum,
-            start,
-            start + 9,
-            ScanOptions { threads: 3, ..Default::default() },
-        )
-        .unwrap();
-        let total = aggregate_total(
-            &table,
-            0,
-            &pred,
-            start,
-            start + 9,
-            ScanOptions { threads: 3, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(total.finalize(AggFunc::Sum), per_day.iter().map(|(_, v)| v).sum::<f64>());
-        assert_eq!(total.count, 50);
-        assert!(
-            aggregate_total(&table, 9, &pred, start, start + 9, ScanOptions::default()).is_err()
-        );
-    }
-
-    #[test]
     fn states_range_matches_finalized_range() {
         let table = table(10, 20);
         let pred = table.compile_predicate(&Predicate::cmp("k", CmpOp::Lt, 5)).unwrap();
         let start = Timestamp::from_yyyymmdd(20200101).unwrap();
-        let options = ScanOptions { threads: 3, ..Default::default() };
+        let options = ScanOptions { threads: 3 };
         let states = aggregate_states_range(&table, 0, &pred, start, start + 9, options).unwrap();
         let values =
             aggregate_range(&table, 0, &pred, AggFunc::Sum, start, start + 9, options).unwrap();
@@ -290,17 +199,5 @@ mod tests {
             assert_eq!(state.count, 5);
         }
         assert!(aggregate_states_range(&table, 9, &pred, start, start + 9, options).is_err());
-    }
-
-    #[test]
-    fn selectivity_over_range() {
-        let table = table(3, 10);
-        let pred = table.compile_predicate(&Predicate::cmp("k", CmpOp::Lt, 3)).unwrap();
-        let start = Timestamp::from_yyyymmdd(20200101).unwrap();
-        let sel = selectivity_range(&table, &pred, start, start + 2, ScanOptions::default());
-        assert_eq!(sel.len(), 3);
-        for (_, s) in sel {
-            assert!((s - 0.3).abs() < 1e-12);
-        }
     }
 }

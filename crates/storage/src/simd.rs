@@ -2,10 +2,9 @@
 //!
 //! Four kernel tiers implement the same scan primitives — the
 //! compare-into-mask kernel behind [`crate::CompiledPredicate`] leaves,
-//! the IN-list membership kernel behind compiled `IN` predicates, the
-//! fused compare+aggregate kernel behind single-comparison exact scans,
-//! and a reassociated masked-sum kernel behind the opt-in `fast_sum`
-//! aggregation mode:
+//! the IN-list membership kernel behind compiled `IN` predicates, and
+//! the fused compare+aggregate kernel behind single-comparison exact
+//! scans:
 //!
 //! * **`avx512`** — 512-bit compares writing mask registers straight
 //!   into `Bitmask` words (64 `u8` rows are one load and one
@@ -28,29 +27,22 @@
 //! [`active`] — `is_x86_feature_detected!` runtime dispatch captured in a
 //! [`KernelSet`] vtable of monomorphic function pointers that
 //! `predicate.rs`, `aggregate.rs`, `scan.rs` and `flashp-sampling`'s
-//! estimators all route through. Two environment variables override the
+//! estimators all route through. One environment variable overrides the
 //! choice (read once, before the first query):
-//!
-//! * `FLASHP_FORCE_SCALAR_KERNELS=1` — disable SIMD dispatch entirely and
-//!   run the portable word-at-a-time tier (CI runs the whole test suite
-//!   this way so the portable tier stays covered on every PR);
-//! * `FLASHP_KERNEL_TIER=avx512|avx2|sse2|portable` — pin a specific
-//!   tier. An unrecognized name, or a tier this CPU cannot run, is
-//!   **never** silent: selection prints one deterministic warning to
-//!   stderr and falls back to the best supported tier (pinned by
-//!   `resolve_tier`'s unit tests).
+//! `FLASHP_KERNEL_TIER=avx512|avx2|sse2|portable` pins a specific tier
+//! (CI runs the whole test suite once per pin, `portable` included, so
+//! every tier stays covered on every PR). An unrecognized name, or a
+//! tier this CPU cannot run, is **never** silent: selection prints one
+//! deterministic warning to stderr and falls back to the best supported
+//! tier (pinned by `resolve_tier`'s unit tests).
 //!
 //! Every mask and every **exact** aggregate is **bit-for-bit identical**
 //! to the scalar reference oracle in [`crate::reference`]: masks match
 //! bit by bit, and fused sums are produced by the exact same
 //! ascending-row addition order (the SIMD tiers vectorize the
 //! comparisons and the mask-word assembly, never the float accumulation
-//! — reassociating the sum would change low-order bits). The one
-//! deliberate exception is [`KernelSet::agg_masked_fast`], the opt-in
-//! `fast_sum` kernel: it keeps the exact integer count but reassociates
-//! the float sum into vector-lane partial accumulators, deterministic
-//! per tier but only ulp-close to the exact order. The
-//! `kernel_equivalence` property suite proves all of this for every
+//! — reassociating the sum would change low-order bits). The
+//! `kernel_equivalence` property suite proves this for every
 //! supported tier on every column type, including `f64` comparisons with
 //! NaN and non-finite literals.
 
@@ -133,7 +125,6 @@ pub struct KernelSet {
     fused_u32: fn(&[u32], &[f64], CmpOp, u32) -> AggState,
     fused_i64: fn(&[i64], &[f64], CmpOp, i64) -> AggState,
     fused_f64: fn(&[f64], &[f64], CmpOp, f64) -> AggState,
-    agg_masked_fast: fn(&[f64], &Bitmask) -> AggState,
 }
 
 impl fmt::Debug for KernelSet {
@@ -238,17 +229,6 @@ impl KernelSet {
         (self.fused_f64)(dims, values, op, rhs)
     }
 
-    /// Masked sum/count with **reassociated** float accumulation — the
-    /// opt-in `fast_sum` kernel. The count is exact (a popcount); the sum
-    /// uses vector-lane partial accumulators, so it is deterministic for
-    /// a given tier but only ulp-close to the exact ascending-row order
-    /// of [`crate::aggregate::aggregate_masked`]. The portable and SSE2
-    /// tiers alias the exact walk (bit-identical there).
-    #[inline]
-    pub fn agg_masked_fast(&self, values: &[f64], mask: &Bitmask) -> AggState {
-        (self.agg_masked_fast)(values, mask)
-    }
-
     /// The portable word-at-a-time tier (always available).
     pub fn portable() -> KernelSet {
         KernelSet {
@@ -267,7 +247,6 @@ impl KernelSet {
             fused_u32: portable::fused_u32,
             fused_i64: portable::fused_i64,
             fused_f64: portable::fused_f64,
-            agg_masked_fast: portable::agg_masked_fast,
         }
     }
 
@@ -297,9 +276,6 @@ impl KernelSet {
                     fused_u32: x86::fused_u32_sse2,
                     fused_i64: portable::fused_i64,
                     fused_f64: x86::fused_f64_sse2,
-                    // 2-lane reassociation buys nothing over the exact
-                    // walk; keep fast == exact on this tier.
-                    agg_masked_fast: portable::agg_masked_fast,
                 })
             }
             #[cfg(target_arch = "x86_64")]
@@ -322,7 +298,6 @@ impl KernelSet {
                 fused_u32: x86::fused_u32_avx2,
                 fused_i64: x86::fused_i64_avx2,
                 fused_f64: x86::fused_f64_avx2,
-                agg_masked_fast: x86::agg_masked_fast_avx2,
             }),
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx512
@@ -345,7 +320,6 @@ impl KernelSet {
                     fused_u32: x86::fused_u32_avx512,
                     fused_i64: x86::fused_i64_avx512,
                     fused_f64: x86::fused_f64_avx512,
-                    agg_masked_fast: x86::agg_masked_fast_avx512,
                 })
             }
             #[allow(unreachable_patterns)]
@@ -366,8 +340,7 @@ static ACTIVE: OnceLock<KernelSet> = OnceLock::new();
 
 /// The dispatched kernel set every scan and estimation routes through.
 ///
-/// Selected once: environment overrides first
-/// (`FLASHP_FORCE_SCALAR_KERNELS`, `FLASHP_KERNEL_TIER`), then the best
+/// Selected once: the `FLASHP_KERNEL_TIER` pin first, then the best
 /// tier the CPU supports.
 pub fn active() -> &'static KernelSet {
     ACTIVE.get_or_init(select)
@@ -381,7 +354,7 @@ pub fn active_tier() -> KernelTier {
 
 /// Pure tier-selection logic behind [`active`], separated from the
 /// environment and the warning sink so both are unit-testable: given the
-/// two override variables (as `Option`s) and the tiers this machine
+/// `FLASHP_KERNEL_TIER` pin (as an `Option`) and the tiers this machine
 /// supports (best first), return the tier to run and, for a pin that
 /// could not be honored, the deterministic warning to print.
 ///
@@ -389,15 +362,8 @@ pub fn active_tier() -> KernelTier {
 /// must never degrade *silently* — the caller prints the warning once —
 /// and must still leave the process on the best tier it has, so a typo'd
 /// pin costs a line on stderr, not an unexplained benchmark cliff.
-fn resolve_tier(
-    force_scalar: Option<&str>,
-    pin: Option<&str>,
-    supported: &[KernelTier],
-) -> (KernelTier, Option<String>) {
+fn resolve_tier(pin: Option<&str>, supported: &[KernelTier]) -> (KernelTier, Option<String>) {
     let best = supported.first().copied().unwrap_or(KernelTier::Portable);
-    if force_scalar.map(|v| !v.is_empty() && v != "0").unwrap_or(false) {
-        return (KernelTier::Portable, None);
-    }
     let Some(name) = pin else {
         return (best, None);
     };
@@ -421,9 +387,8 @@ fn resolve_tier(
 
 fn select() -> KernelSet {
     let supported: Vec<KernelTier> = KernelSet::supported().iter().map(KernelSet::tier).collect();
-    let force = std::env::var("FLASHP_FORCE_SCALAR_KERNELS").ok();
     let pin = std::env::var("FLASHP_KERNEL_TIER").ok();
-    let (tier, warning) = resolve_tier(force.as_deref(), pin.as_deref(), &supported);
+    let (tier, warning) = resolve_tier(pin.as_deref(), &supported);
     if let Some(w) = warning {
         eprintln!("flashp: {w}");
     }
@@ -501,21 +466,6 @@ fn fused_tail<T: Copy + PartialOrd>(
     }
 }
 
-/// Exact masked aggregation — ascending-row addition order, bit-identical
-/// to [`crate::aggregate::aggregate_masked`]. Serves as the `fast` slot
-/// on tiers where reassociation buys nothing (portable, SSE2) and as the
-/// oracle the fast kernels' tests compare against.
-fn agg_masked_exact(values: &[f64], mask: &Bitmask) -> AggState {
-    debug_assert_eq!(values.len(), mask.len());
-    let mut sum = 0.0f64;
-    let mut count = 0u64;
-    mask.for_each_one(|i| {
-        sum += values[i];
-        count += 1;
-    });
-    AggState { sum, count }
-}
-
 /// Write the final partial mask word of an IN-membership kernel with the
 /// scalar bitset probe; bits at or beyond `len` stay zero.
 fn in_tail<T: Copy + Into<i64>>(data: &[T], lookup: &InLookup, words: &mut [u64]) {
@@ -586,10 +536,6 @@ mod portable {
     portable_in!(in_u16, u16);
     portable_in!(in_u32, u32);
     portable_in!(in_i64, i64);
-
-    pub(super) fn agg_masked_fast(values: &[f64], mask: &Bitmask) -> AggState {
-        agg_masked_exact(values, mask)
-    }
 }
 
 /// Explicit x86-64 SIMD kernels (AVX2 and SSE2 tiers).
@@ -1330,71 +1276,6 @@ mod x86 {
     }
 
     // ---------------------------------------------------------------
-    // fast_sum masked aggregation (AVX2): a nibble of the mask word
-    // selects a 4-lane keep mask, matching rows accumulate into 4 lane
-    // partials — deterministic, but reassociated vs the exact order.
-    // ---------------------------------------------------------------
-
-    /// # Safety
-    /// Requires AVX2; `words` must cover `values.len()` rows with the
-    /// mask-tail invariant (bits at/beyond the end zero).
-    #[target_feature(enable = "avx2")]
-    unsafe fn agg_masked_words_avx2(values: &[f64], words: &[u64]) -> AggState {
-        let mut nib_keep = [_mm256_setzero_si256(); 16];
-        let mut n = 0usize;
-        while n < 16 {
-            nib_keep[n] = _mm256_setr_epi64x(
-                if n & 1 != 0 { -1 } else { 0 },
-                if n & 2 != 0 { -1 } else { 0 },
-                if n & 4 != 0 { -1 } else { 0 },
-                if n & 8 != 0 { -1 } else { 0 },
-            );
-            n += 1;
-        }
-        let mut acc = _mm256_setzero_pd();
-        let mut count = 0u64;
-        let full = values.len() / 64;
-        let mut wi = 0usize;
-        while wi < full {
-            let w = words[wi];
-            count += u64::from(w.count_ones());
-            if w != 0 {
-                let p = values.as_ptr().add(wi * 64);
-                let mut k = 0usize;
-                while k < 16 {
-                    let nib = ((w >> (k * 4)) & 0xF) as usize;
-                    if nib != 0 {
-                        let keep = _mm256_castsi256_pd(nib_keep[nib]);
-                        acc =
-                            _mm256_add_pd(acc, _mm256_and_pd(keep, _mm256_loadu_pd(p.add(k * 4))));
-                    }
-                    k += 1;
-                }
-            }
-            wi += 1;
-        }
-        // Fixed-order horizontal reduction: (l0+l2) + (l1+l3).
-        let pair = _mm_add_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd::<1>(acc));
-        let mut sum = _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-        if full < words.len() {
-            let mut w = words[full];
-            count += u64::from(w.count_ones());
-            let base = full * 64;
-            while w != 0 {
-                sum += values[base + w.trailing_zeros() as usize];
-                w &= w - 1;
-            }
-        }
-        AggState { sum, count }
-    }
-
-    pub(super) fn agg_masked_fast_avx2(values: &[f64], mask: &Bitmask) -> AggState {
-        debug_assert_eq!(values.len(), mask.len());
-        // SAFETY: AVX2 was detected at dispatch time.
-        unsafe { agg_masked_words_avx2(values, mask.words()) }
-    }
-
-    // ---------------------------------------------------------------
     // AVX-512: compares write mask registers straight into `Bitmask`
     // words — 64 u8 rows are one `vpcmpub` (no movemask, no sign bias:
     // the EVEX compares exist in unsigned forms). The `F_*` operator
@@ -1796,59 +1677,6 @@ mod x86 {
     avx512_in_probe!(u16, load8_u16, in_words_u16_avx512, in_u16_avx512);
     avx512_in_probe!(u32, load8_u32, in_words_u32_avx512, in_u32_avx512);
     avx512_in_probe!(i64, load8_i64, in_words_i64_avx512, in_i64_avx512);
-
-    // ---------------------------------------------------------------
-    // fast_sum masked aggregation (AVX-512): each mask-word byte drives
-    // a maskz load straight into lane partials. Two independent
-    // accumulators (even/odd bytes of the mask word) break the
-    // loop-carried add-latency chain — the reassociation order is still
-    // fixed, so the result stays deterministic for this tier.
-    // ---------------------------------------------------------------
-
-    /// # Safety
-    /// Requires AVX-512F; `words` must cover `values.len()` rows with
-    /// the mask-tail invariant (bits at/beyond the end zero).
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn agg_masked_words_avx512(values: &[f64], words: &[u64]) -> AggState {
-        let mut acc0 = _mm512_setzero_pd();
-        let mut acc1 = _mm512_setzero_pd();
-        let mut count = 0u64;
-        let full = values.len() / 64;
-        let mut wi = 0usize;
-        while wi < full {
-            let w = words[wi];
-            count += u64::from(w.count_ones());
-            if w != 0 {
-                let p = values.as_ptr().add(wi * 64);
-                let mut k = 0usize;
-                while k < 8 {
-                    let m0 = ((w >> (k * 8)) & 0xFF) as __mmask8;
-                    let m1 = ((w >> ((k + 1) * 8)) & 0xFF) as __mmask8;
-                    acc0 = _mm512_add_pd(acc0, _mm512_maskz_loadu_pd(m0, p.add(k * 8)));
-                    acc1 = _mm512_add_pd(acc1, _mm512_maskz_loadu_pd(m1, p.add((k + 1) * 8)));
-                    k += 2;
-                }
-            }
-            wi += 1;
-        }
-        let mut sum = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
-        if full < words.len() {
-            let mut w = words[full];
-            count += u64::from(w.count_ones());
-            let base = full * 64;
-            while w != 0 {
-                sum += values[base + w.trailing_zeros() as usize];
-                w &= w - 1;
-            }
-        }
-        AggState { sum, count }
-    }
-
-    pub(super) fn agg_masked_fast_avx512(values: &[f64], mask: &Bitmask) -> AggState {
-        debug_assert_eq!(values.len(), mask.len());
-        // SAFETY: AVX-512 was detected at dispatch time.
-        unsafe { agg_masked_words_avx512(values, mask.words()) }
-    }
 }
 
 #[cfg(test)]
@@ -1875,17 +1703,15 @@ mod tests {
         assert_eq!(active().tier(), active_tier());
     }
 
-    /// Guard for the CI `portable-kernels` job: when
-    /// `FLASHP_FORCE_SCALAR_KERNELS` is set, dispatch **must** land on
-    /// the portable tier — otherwise that job silently re-runs the SIMD
-    /// suite and the forced-off path loses its only CI coverage.
+    /// Guard for CI's `kernel-tier-matrix` legs: when `FLASHP_KERNEL_TIER`
+    /// pins a tier this CPU supports, dispatch **must** land on it —
+    /// otherwise a leg silently re-runs the best tier's suite and the
+    /// pinned tier loses its only CI coverage.
     #[test]
-    fn force_scalar_env_actually_forces_portable() {
-        let forced = std::env::var("FLASHP_FORCE_SCALAR_KERNELS")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        if forced {
-            assert_eq!(active_tier(), KernelTier::Portable);
+    fn kernel_tier_pin_is_the_active_tier() {
+        let pinned = std::env::var("FLASHP_KERNEL_TIER").ok().and_then(|v| KernelTier::parse(&v));
+        if let Some(tier) = pinned.filter(|&t| KernelSet::for_tier(t).is_some()) {
+            assert_eq!(active_tier(), tier);
         }
     }
 
@@ -2016,78 +1842,33 @@ mod tests {
     }
 
     #[test]
-    fn fast_agg_counts_exactly_and_masks_out_poison() {
-        // NaN and ±∞ in *deselected* rows must never contaminate the sum.
-        let n = 130usize;
-        let values: Vec<f64> = (0..n)
-            .map(|i| match i % 9 {
-                0 => f64::NAN,
-                1 => f64::INFINITY,
-                2 => f64::NEG_INFINITY,
-                _ => i as f64 * 0.25 - 10.0,
-            })
-            .collect();
-        let mask = Bitmask::from_fn(n, |i| i % 9 > 2 && i % 5 != 0);
-        let mut exact = AggState::default();
-        mask.for_each_one(|i| {
-            exact.sum += values[i];
-            exact.count += 1;
-        });
-        for ks in KernelSet::supported() {
-            let fast = ks.agg_masked_fast(&values, &mask);
-            assert_eq!(fast.count, exact.count, "{}", ks.tier());
-            assert!(fast.sum.is_finite(), "{}: deselected specials leaked in", ks.tier());
-            let bound = exact.count as f64 * f64::EPSILON * 60.0 * exact.count as f64;
-            assert!(
-                (fast.sum - exact.sum).abs() <= bound,
-                "{}: fast {} vs exact {}",
-                ks.tier(),
-                fast.sum,
-                exact.sum
-            );
-            // Deterministic: same inputs, same bits.
-            assert_eq!(fast.sum.to_bits(), ks.agg_masked_fast(&values, &mask).sum.to_bits());
-        }
-        // The portable slot aliases the exact ascending walk.
-        assert_eq!(
-            KernelSet::portable().agg_masked_fast(&values, &mask).sum.to_bits(),
-            exact.sum.to_bits()
-        );
-    }
-
-    #[test]
     fn resolve_tier_pins_and_warns_deterministically() {
         let all = [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Sse2, KernelTier::Portable];
         let no_avx512 = [KernelTier::Avx2, KernelTier::Sse2, KernelTier::Portable];
 
         // No pin: best supported tier, silent.
-        assert_eq!(resolve_tier(None, None, &all), (KernelTier::Avx512, None));
+        assert_eq!(resolve_tier(None, &all), (KernelTier::Avx512, None));
         // Valid supported pin: honored, silent.
-        assert_eq!(resolve_tier(None, Some("sse2"), &all), (KernelTier::Sse2, None));
-        assert_eq!(resolve_tier(None, Some(" AVX2 "), &all), (KernelTier::Avx2, None));
-        assert_eq!(resolve_tier(None, Some("scalar"), &all), (KernelTier::Portable, None));
+        assert_eq!(resolve_tier(Some("sse2"), &all), (KernelTier::Sse2, None));
+        assert_eq!(resolve_tier(Some(" AVX2 "), &all), (KernelTier::Avx2, None));
+        assert_eq!(resolve_tier(Some("scalar"), &all), (KernelTier::Portable, None));
 
         // Unknown tier name: falls back to the best tier and says so —
         // never a silent portable downgrade.
-        let (tier, warn) = resolve_tier(None, Some("avx1024"), &no_avx512);
+        let (tier, warn) = resolve_tier(Some("avx1024"), &no_avx512);
         assert_eq!(tier, KernelTier::Avx2);
         let warn = warn.expect("unknown tier must warn");
         assert!(warn.contains("unrecognized tier \"avx1024\""), "{warn}");
         assert!(warn.contains("using avx2"), "{warn}");
         // Deterministic: the identical inputs produce the identical text.
-        assert_eq!(resolve_tier(None, Some("avx1024"), &no_avx512).1.as_deref(), Some(&*warn));
+        assert_eq!(resolve_tier(Some("avx1024"), &no_avx512).1.as_deref(), Some(&*warn));
 
         // Known but unsupported tier: explicit message naming both tiers.
-        let (tier, warn) = resolve_tier(None, Some("avx512"), &no_avx512);
+        let (tier, warn) = resolve_tier(Some("avx512"), &no_avx512);
         assert_eq!(tier, KernelTier::Avx2);
         let warn = warn.expect("unsupported tier must warn");
         assert!(warn.contains("'avx512' is not supported"), "{warn}");
         assert!(warn.contains("using avx2"), "{warn}");
-
-        // Force-scalar wins over any pin, silently (it is an explicit
-        // off-switch, not a misconfiguration).
-        assert_eq!(resolve_tier(Some("1"), Some("avx512"), &all), (KernelTier::Portable, None));
-        assert_eq!(resolve_tier(Some("0"), Some("sse2"), &all), (KernelTier::Sse2, None));
     }
 
     #[test]

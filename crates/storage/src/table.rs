@@ -251,12 +251,10 @@ pub(crate) fn eval_partition(
 /// across partitions. Single-comparison predicates and constants skip
 /// mask materialization entirely via the fused kernels.
 ///
-/// `sum` selects the accumulation contract: [`SumMode::Exact`] keeps every
-/// float sum in ascending row order (bit-identical to the scalar
-/// reference); [`SumMode::Fast`] routes masked aggregation through the
-/// tier's reassociated `agg_masked_fast` slot — counts stay exact, sums
-/// are deterministic per tier but may differ from exact by accumulated
-/// rounding.
+/// Every float sum is accumulated in ascending row order, bit-identical
+/// to the scalar reference on every kernel tier. `sum` has the single
+/// value [`SumMode::Exact`]; it stays in the signature only because the
+/// wire benchmark's layer probe (`benchmark/src/layers.rs`) passes it.
 pub fn eval_partition_with(
     partition: &Partition,
     measure_idx: usize,
@@ -289,16 +287,6 @@ pub fn eval_partition_with(
         (_, SumMode::Exact) => {
             let mask = pred.evaluate_into(partition, scratch);
             let state = aggregate_masked(partition, measure_idx, &mask);
-            scratch.release(mask);
-            state
-        }
-        // Fast mode: always compare-into-mask, then the reassociated
-        // masked-sum kernel (the fused slots exist to preserve exact
-        // ascending accumulation, which fast mode explicitly trades away).
-        (_, SumMode::Fast) => {
-            let kernels = crate::simd::active();
-            let mask = pred.evaluate_into(partition, scratch);
-            let state = kernels.agg_masked_fast(partition.measure(measure_idx), &mask);
             scratch.release(mask);
             state
         }

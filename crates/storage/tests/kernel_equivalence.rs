@@ -380,52 +380,4 @@ proptest! {
             }
         }
     }
-
-    /// The opt-in `fast_sum` masked aggregation on every tier keeps the
-    /// count exact and the reassociated sum within an accumulated-rounding
-    /// bound of the ascending-order exact sum; it is deterministic per
-    /// tier, and the portable/SSE2 tiers alias the exact walk bit-for-bit.
-    #[test]
-    fn fast_sum_is_count_exact_and_ulp_bounded(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = match rng.gen_range(0..5u32) {
-            0 => rng.gen_range(0..4usize),
-            1 => 64 * rng.gen_range(1..4usize),
-            2 => 64 * rng.gen_range(1..3usize) + rng.gen_range(1..64usize),
-            3 => 8 * rng.gen_range(1..20usize), // %8 lane multiples
-            _ => rng.gen_range(1..300usize),
-        };
-        let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-1000.0..1000.0)).collect();
-        let mut mask = Bitmask::zeros(n);
-        for i in 0..n {
-            if rng.gen_range(0..3u32) != 0 {
-                mask.set(i);
-            }
-        }
-        let mut exact = 0.0f64;
-        let mut count = 0u64;
-        let mut sum_abs = 0.0f64;
-        for i in mask.iter_ones() {
-            exact += values[i];
-            count += 1;
-            sum_abs += values[i].abs();
-        }
-        // Reassociating k additions perturbs each partial by at most one
-        // rounding step: |fast − exact| ≤ k·ε·Σ|xᵢ|.
-        let bound = count as f64 * f64::EPSILON * sum_abs;
-        for ks in KernelSet::supported() {
-            let fast = ks.agg_masked_fast(&values, &mask);
-            prop_assert_eq!(fast.count, count, "tier {}", ks.tier());
-            prop_assert!(
-                (fast.sum - exact).abs() <= bound,
-                "tier {}: fast {} vs exact {} exceeds bound {}",
-                ks.tier(), fast.sum, exact, bound
-            );
-            // Bit-for-bit deterministic on repeat evaluation.
-            let again = ks.agg_masked_fast(&values, &mask);
-            prop_assert!(again.sum.to_bits() == fast.sum.to_bits(), "tier {}", ks.tier());
-        }
-        let fast = KernelSet::portable().agg_masked_fast(&values, &mask);
-        prop_assert!(fast.sum.to_bits() == exact.to_bits(), "portable fast_sum must stay exact");
-    }
 }

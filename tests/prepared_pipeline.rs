@@ -45,8 +45,6 @@ const CORPUS: &[&str] = &[
     "SELECT COUNT(Click) FROM ads WHERE age <= 30 GROUP BY t",
     "SELECT SUM(Impression) FROM ads WHERE t BETWEEN 20200101 AND 20200107 \
      GROUP BY t OPTION (SAMPLE_RATE = 0.05)",
-    "SELECT SUM(Impression) FROM ads WHERE age <= 30 AND t = 20200105 \
-     OPTION (FAST_SUM = 1)",
 ];
 
 #[test]
@@ -408,14 +406,6 @@ fn explain_round_trips_for_the_corpus() {
             ["avx512", "avx2", "sse2", "portable"].contains(&simd),
             "{sql}: unknown tier {simd}"
         );
-        // Exact scans name their float-sum mode; sampled sources don't.
-        match source.name.as_str() {
-            "FullScan" => assert!(
-                matches!(source.prop("sum"), Some("exact") | Some("fast")),
-                "{sql}: FullScan must name its sum mode:\n{node}"
-            ),
-            _ => assert_eq!(source.prop("sum"), None, "{sql}: sampled sources have no sum mode"),
-        }
         match engine.execute(&explain_sql).unwrap() {
             ExecOutput::Plan(executed) => assert_eq!(executed, node, "{sql}"),
             other => panic!("{sql}: EXPLAIN produced {other:?}"),
@@ -472,38 +462,6 @@ fn prepared_queries_share_one_engine_across_threads() {
             });
         }
     });
-}
-
-/// `OPTION (FAST_SUM = 1)` switches the exact scan to reassociated vector
-/// sums: EXPLAIN says so, counts stay exact, and sums stay within
-/// accumulated-rounding distance of the default ascending-row order.
-#[test]
-fn fast_sum_option_flows_to_explain_and_execution() {
-    let engine = engine_for(SamplerChoice::OptimalGsw, 5);
-    let base = "SELECT SUM(Impression) FROM ads WHERE age <= 30 \
-                AND t BETWEEN 20200101 AND 20200110 GROUP BY t";
-    let fast_sql = format!("{base} OPTION (FAST_SUM = 1)");
-    assert_eq!(engine.explain(base).unwrap().find("FullScan").unwrap().prop("sum"), Some("exact"));
-    assert_eq!(
-        engine.explain(&fast_sql).unwrap().find("FullScan").unwrap().prop("sum"),
-        Some("fast")
-    );
-
-    let exact = engine.select(base).unwrap();
-    let fast = engine.select(&fast_sql).unwrap();
-    assert!(!fast.approximate, "FAST_SUM is still an exact full scan");
-    assert_eq!(exact.rows.len(), fast.rows.len());
-    for ((t_e, v_e, _), (t_f, v_f, _)) in exact.rows.iter().zip(&fast.rows) {
-        assert_eq!(t_e, t_f);
-        let tolerance = 1e-9 * v_e.abs().max(1.0);
-        assert!((v_e - v_f).abs() <= tolerance, "fast sum {v_f} too far from exact {v_e}");
-    }
-    // COUNT is unaffected by the sum mode — bit-identical.
-    let count = base.replace("SUM", "COUNT");
-    assert_eq!(
-        engine.select(&count).unwrap(),
-        engine.select(&format!("{count} OPTION (FAST_SUM = 1)")).unwrap()
-    );
 }
 
 /// A `Float64` dimension column works end-to-end: schema, ingest, float
@@ -575,7 +533,6 @@ fn pinned_kernel_tiers_report_in_explain_and_agree() {
             .args(["--exact", "pinned_kernel_tiers_report_in_explain_and_agree", "--nocapture"])
             .env(CHILD_VAR, tier)
             .env("FLASHP_KERNEL_TIER", tier)
-            .env_remove("FLASHP_FORCE_SCALAR_KERNELS")
             .output()
             .unwrap();
         let stdout = String::from_utf8_lossy(&out.stdout);

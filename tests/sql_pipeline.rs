@@ -1,19 +1,26 @@
 //! SQL surface tests against the engine: options plumbing, error paths,
 //! and semantic agreement between SELECT and direct computation.
 
-use flashp::core::{EngineConfig, ExecOutput, FlashPEngine, SampleCatalog, SamplerChoice};
+use flashp::core::{
+    EngineConfig, EngineError, ExecOutput, FlashPEngine, SampleCatalog, SamplerChoice, ShardConfig,
+    ShardedEngine,
+};
 use flashp::data::{generate_dataset, DatasetConfig};
 use std::sync::Arc;
 
-fn engine() -> FlashPEngine {
-    let ds = generate_dataset(&DatasetConfig::new(1_000, 40, 77)).unwrap();
-    let config = EngineConfig {
+fn config() -> EngineConfig {
+    EngineConfig {
         sampler: SamplerChoice::OptimalGsw,
         layer_rates: vec![0.1],
         default_rate: 0.1,
         table_name: Some("ads".to_string()),
         ..Default::default()
-    };
+    }
+}
+
+fn engine() -> FlashPEngine {
+    let ds = generate_dataset(&DatasetConfig::new(1_000, 40, 77)).unwrap();
+    let config = config();
     let catalog = SampleCatalog::build(&ds.table, &config).unwrap();
     FlashPEngine::with_catalog(Arc::new(ds.table), config, catalog)
 }
@@ -51,6 +58,52 @@ fn option_validation_errors() {
         "OPTION (MODEL = 'unknown_model')",
     ] {
         assert!(e.forecast(&format!("{base} {bad}")).is_err(), "{bad} should fail");
+    }
+}
+
+/// `OPTION (…)` is a declarative contract: a key the statement kind does
+/// not accept (a typo, or an option that no longer exists) is a typed
+/// plan-time error naming the key — never silently ignored — on both
+/// engines, which plan through the same `Planner`.
+#[test]
+fn unknown_option_keys_are_rejected_on_both_engines() {
+    let single = engine();
+    let ds = generate_dataset(&DatasetConfig::new(1_000, 40, 77)).unwrap();
+    let sharded =
+        ShardedEngine::with_catalogs(&ds.table, config(), ShardConfig::with_shards(2)).unwrap();
+    let forecast = "FORECAST SUM(Impression) FROM ads USING (20200101, 20200131)";
+    let select = "SELECT SUM(Impression) FROM ads WHERE t = 20200105";
+    let cases = [
+        (format!("{forecast} OPTION (SAMPL_RATE = 0.01)"), "SAMPL_RATE"),
+        (format!("{select} OPTION (SAMPL_RATE = 0.01)"), "SAMPL_RATE"),
+        (format!("{forecast} OPTION (MODEL = 'naive', FAST_SUM = 1)"), "FAST_SUM"),
+        (format!("{select} OPTION (FAST_SUM = 1)"), "FAST_SUM"),
+        (format!("{select} OPTION (MODEL = 'naive')"), "MODEL"),
+        (format!("{forecast} OPTION (MODEL = 'naive', NOISE_AWARE = 'yes')"), "NOISE_AWARE"),
+    ];
+    for (sql, key) in &cases {
+        let errors = [
+            ("single execute", single.execute(sql).err()),
+            ("single prepare", single.prepare(sql).err()),
+            ("sharded execute", sharded.execute(sql).err()),
+            ("sharded prepare", sharded.prepare(sql).err()),
+        ];
+        for (path, err) in errors {
+            match err {
+                Some(EngineError::Config(msg)) => {
+                    assert!(msg.contains(key), "{path}: {sql}: message {msg:?} must name {key}")
+                }
+                other => panic!("{path}: {sql}: expected a Config error, got {other:?}"),
+            }
+        }
+    }
+    // Accepted keys still plan, case-insensitively.
+    for sql in [
+        format!("{forecast} OPTION (model = 'naive', NOISE_AWARE = 1, confidence = 0.8)"),
+        format!("{select} OPTION (sample_rate = 1.0)"),
+    ] {
+        single.execute(&sql).unwrap();
+        sharded.execute(&sql).unwrap();
     }
 }
 
