@@ -26,22 +26,30 @@ const FORECAST_OPTIONS: [&str; 5] =
 /// The `OPTION (…)` keys a SELECT statement accepts.
 const SELECT_OPTIONS: [&str; 1] = ["SAMPLE_RATE"];
 
-/// Reject the first `OPTION (…)` key outside `accepted` (compared
-/// case-insensitively, like option lookup). The clause is a declarative
-/// contract, so a misspelt key must fail the plan rather than leave its
-/// setting at the default.
+/// Reject the first `OPTION (…)` key outside `accepted` or repeated
+/// (both compared case-insensitively, like option lookup). The clause is a
+/// declarative contract, so a misspelt key must fail the plan rather than
+/// leave its setting at the default, and a repeated key must fail rather
+/// than silently keep one of its values.
 fn check_option_keys(
     kind: &str,
     options: &[(String, OptionValue)],
     accepted: &[&str],
 ) -> Result<(), EngineError> {
-    match options.iter().find(|(k, _)| !accepted.iter().any(|a| k.eq_ignore_ascii_case(a))) {
-        Some((key, _)) => Err(EngineError::Config(format!(
-            "unknown {kind} option {key} (accepted: {})",
-            accepted.join(", ")
-        ))),
-        None => Ok(()),
+    for (i, (key, _)) in options.iter().enumerate() {
+        if !accepted.iter().any(|a| key.eq_ignore_ascii_case(a)) {
+            return Err(EngineError::Config(format!(
+                "unknown {kind} option {key} (accepted: {})",
+                accepted.join(", ")
+            )));
+        }
+        if options[..i].iter().any(|(k, _)| k.eq_ignore_ascii_case(key)) {
+            return Err(EngineError::Config(format!(
+                "{kind} option {key} is given more than once"
+            )));
+        }
     }
+    Ok(())
 }
 
 /// Resolve and validate a `SAMPLE_RATE` option (shared by FORECAST and

@@ -9,7 +9,7 @@
 
 use crate::error::SamplingError;
 use crate::sample::Sample;
-use flashp_storage::{AggFunc, CompiledPredicate, KernelSet, MaskScratch};
+use flashp_storage::{AggFunc, CompiledPredicate, MaskScratch};
 
 /// An estimate of one aggregation query from one sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,30 +110,11 @@ pub fn estimate_components_with(
     pred: &CompiledPredicate,
     scratch: &mut MaskScratch,
 ) -> Result<EstimateComponents, SamplingError> {
-    estimate_components_with_kernels(
-        sample,
-        measure_idx,
-        pred,
-        scratch,
-        flashp_storage::simd::active(),
-    )
-}
-
-/// [`estimate_components_with`] on an explicit kernel tier — the hook the
-/// bench harness uses to pit the SIMD and word-at-a-time tiers against
-/// each other on the estimation path.
-pub fn estimate_components_with_kernels(
-    sample: &Sample,
-    measure_idx: usize,
-    pred: &CompiledPredicate,
-    scratch: &mut MaskScratch,
-    kernels: &KernelSet,
-) -> Result<EstimateComponents, SamplingError> {
     let num_measures = sample.rows().measures().len();
     if measure_idx >= num_measures {
         return Err(SamplingError::BadMeasure { index: measure_idx, num_measures });
     }
-    let mask = pred.evaluate_into_with(sample.rows(), scratch, kernels);
+    let mask = pred.evaluate_into(sample.rows(), scratch);
     let values = sample.rows().measure(measure_idx);
     let inv_pi = sample.inverse_inclusion_probabilities();
 

@@ -42,8 +42,7 @@ pub mod weights;
 
 pub use error::SamplingError;
 pub use estimator::{
-    estimate_agg, estimate_agg_with, estimate_components_with, estimate_components_with_kernels,
-    Estimate, EstimateComponents,
+    estimate_agg, estimate_agg_with, estimate_components_with, Estimate, EstimateComponents,
 };
 pub use grouping::{group_measures, MeasureGroups};
 pub use gsw::{delta_for_expected_size, GswCellState, GswSampler};

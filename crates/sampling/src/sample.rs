@@ -9,7 +9,7 @@
 //! `m̂_i = m_i (Δ+w_i)/w_i`; for priority/threshold sampling `π_i =
 //! min(1, m_i/τ)` recovers `m̂_i = max(m_i, τ)`.
 
-use flashp_storage::{CompiledPredicate, Partition, SchemaRef};
+use flashp_storage::{Partition, SchemaRef};
 
 use crate::error::SamplingError;
 
@@ -139,15 +139,6 @@ impl Sample {
     #[inline]
     pub fn calibrated(&self, measure_idx: usize, row: usize) -> f64 {
         self.rows.measure(measure_idx)[row] * self.inv_pi[row]
-    }
-
-    /// Evaluate a compiled predicate over the sampled rows (diagnostic
-    /// convenience; estimation goes through
-    /// [`crate::estimator::estimate_components_with_kernels`], which
-    /// evaluates against an explicit kernel tier and reuses mask
-    /// buffers).
-    pub fn evaluate(&self, pred: &CompiledPredicate) -> flashp_storage::Bitmask {
-        pred.evaluate(&self.rows)
     }
 
     /// Approximate heap footprint in bytes (dimension columns + measures +

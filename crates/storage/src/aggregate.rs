@@ -110,8 +110,8 @@ pub fn aggregate_filtered(
 }
 
 /// [`aggregate_filtered`] with an explicit kernel tier — the hook the
-/// kernel-equivalence suite and the bench harness use to pit tiers
-/// against each other on identical inputs.
+/// kernel-equivalence suite uses to pit tiers against each other on
+/// identical inputs.
 pub fn aggregate_filtered_with(
     kernels: &KernelSet,
     partition: &Partition,

@@ -31,7 +31,6 @@ pub mod error;
 pub mod parallel;
 pub mod partition;
 pub mod predicate;
-pub mod reference;
 pub mod scan;
 pub mod schema;
 pub mod simd;
@@ -54,3 +53,11 @@ pub use simd::{KernelSet, KernelTier};
 pub use table::{eval_partition_with, TimeSeriesTable};
 pub use timestamp::{Date, Timestamp};
 pub use types::{DataType, Value};
+
+// The scalar reference kernels are a test oracle and live with the tests;
+// the unit tests include them under the crate's own name.
+#[cfg(test)]
+extern crate self as flashp_storage;
+#[cfg(test)]
+#[path = "../tests/support/reference.rs"]
+mod reference;

@@ -42,18 +42,6 @@ impl CmpOp {
         }
     }
 
-    #[inline]
-    pub(crate) fn apply(self, lhs: i64, rhs: i64) -> bool {
-        match self {
-            CmpOp::Eq => lhs == rhs,
-            CmpOp::Ne => lhs != rhs,
-            CmpOp::Lt => lhs < rhs,
-            CmpOp::Le => lhs <= rhs,
-            CmpOp::Gt => lhs > rhs,
-            CmpOp::Ge => lhs >= rhs,
-        }
-    }
-
     /// IEEE-754 comparison, exactly Rust's `PartialOrd` on `f64`: every
     /// operator except `!=` is false when either side is NaN, `!=` is then
     /// true; `-0.0 == 0.0`.
@@ -487,8 +475,8 @@ impl CompiledPredicate {
     }
 
     /// [`CompiledPredicate::evaluate_into`] with an explicit kernel tier —
-    /// the hook the kernel-equivalence suite and the bench harness use to
-    /// pit tiers against each other on identical inputs.
+    /// the hook the kernel-equivalence suite uses to pit tiers against each
+    /// other on identical inputs.
     pub fn evaluate_into_with(
         &self,
         partition: &Partition,

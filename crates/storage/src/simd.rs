@@ -37,7 +37,7 @@
 //! tier (pinned by `resolve_tier`'s unit tests).
 //!
 //! Every mask and every **exact** aggregate is **bit-for-bit identical**
-//! to the scalar reference oracle in [`crate::reference`]: masks match
+//! to the scalar reference oracle in `tests/support/reference.rs`: masks match
 //! bit by bit, and fused sums are produced by the exact same
 //! ascending-row addition order (the SIMD tiers vectorize the
 //! comparisons and the mask-word assembly, never the float accumulation
@@ -71,7 +71,7 @@ impl KernelTier {
         [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Sse2, KernelTier::Portable];
 
     /// Lower-case tier name as reported by `EXPLAIN` (`simd=<name>`) and
-    /// the bench reports.
+    /// the benchmark's run header.
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Avx512 => "avx512",
@@ -328,8 +328,8 @@ impl KernelSet {
     }
 
     /// Every tier this machine can run, best first (the portable tier is
-    /// always last and always present) — the equivalence tests and bench
-    /// harness iterate this.
+    /// always last and always present) — tier selection and the
+    /// equivalence tests iterate this.
     pub fn supported() -> Vec<KernelSet> {
         KernelTier::ALL.iter().filter_map(|&t| KernelSet::for_tier(t)).collect()
     }
@@ -347,7 +347,7 @@ pub fn active() -> &'static KernelSet {
 }
 
 /// Tier of the dispatched kernel set (reported by `EXPLAIN` as
-/// `simd=<tier>` and recorded in the bench reports).
+/// `simd=<tier>` and recorded in the benchmark's run header).
 pub fn active_tier() -> KernelTier {
     active().tier()
 }

@@ -2,13 +2,12 @@
 //! word-at-a-time kernels plus each SIMD tier this machine supports
 //! (SSE2, AVX2) — must be bit-for-bit (masks) and sum-exact (aggregates)
 //! identical to the scalar reference implementations in
-//! `flashp_storage::reference`, over random schemas, column types, row
+//! `support/reference.rs`, over random schemas, column types, row
 //! counts (including `len % 64` and SIMD-lane `len % 4` tails), masks,
 //! and predicate trees. The `f64` comparison kernels are additionally
 //! proven against the scalar oracle under NaN, ±∞, −0.0 and extreme
 //! literals.
 
-use flashp_storage::reference::{aggregate_masked_scalar, eval_cmp_f64_scalar, evaluate_scalar};
 use flashp_storage::{
     aggregate_filtered_f64_with, aggregate_filtered_with, AggFunc, Bitmask, CmpOp,
     CompiledPredicate, DataType, Dictionary, DimensionColumn, KernelSet, MaskScratch, Partition,
@@ -17,6 +16,10 @@ use flashp_storage::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "support/reference.rs"]
+mod reference;
+use reference::{aggregate_masked_scalar, eval_cmp_f64_scalar, evaluate_scalar};
 
 const DTYPES: [DataType; 5] =
     [DataType::UInt8, DataType::UInt16, DataType::Int64, DataType::Categorical, DataType::Float64];

@@ -5,18 +5,14 @@
 //! a `count_ones()` short-circuit, and an index-at-a-time aggregation
 //! gather.
 //!
-//! They are kept (not test-gated) for two jobs: the kernel-equivalence
-//! property tests prove the vectorized kernels bit-for-bit and sum-exact
-//! identical to these, and the `bench_report` harness measures them as the
-//! "scalar" baseline so the recorded speedups always compare against the
-//! code that actually shipped. Nothing on a query path should call into
-//! this module.
+//! Test-only: the kernel-equivalence property tests
+//! (`tests/kernel_equivalence.rs`) prove every kernel tier bit-for-bit and
+//! sum-exact identical to these, and the crate's unit tests compare the
+//! aggregation walks against them. Both include this file as a module
+//! with `#[path]`, so it names the crate as `flashp_storage` (the library
+//! aliases itself under that name in its test build).
 
-use crate::aggregate::AggState;
-use crate::bitmask::Bitmask;
-use crate::column::DimensionColumn;
-use crate::partition::Partition;
-use crate::predicate::{CmpOp, CompiledPredicate};
+use flashp_storage::{AggState, Bitmask, CmpOp, CompiledPredicate, DimensionColumn, Partition};
 
 /// The pre-rewrite `CompiledPredicate::evaluate`: per-leaf scalar scans,
 /// `count_ones()`-guarded AND short-circuit, binary-search IN-lists via
@@ -66,9 +62,23 @@ pub fn evaluate_scalar(pred: &CompiledPredicate, partition: &Partition) -> Bitma
     }
 }
 
+/// One comparison with Rust's native operators — for `f64` that is IEEE
+/// semantics: ordered compares and `==` are `false` against NaN, `!=` is
+/// `true`.
+fn cmp<T: PartialOrd>(op: CmpOp, lhs: T, rhs: T) -> bool {
+    match op {
+        CmpOp::Eq => lhs == rhs,
+        CmpOp::Ne => lhs != rhs,
+        CmpOp::Lt => lhs < rhs,
+        CmpOp::Le => lhs <= rhs,
+        CmpOp::Gt => lhs > rhs,
+        CmpOp::Ge => lhs >= rhs,
+    }
+}
+
 /// The pre-rewrite `eval_cmp`: monomorphized per column representation,
 /// but testing one row and setting one bit at a time, with every
-/// comparison widened through `op.apply` in i64 space.
+/// comparison widened to i64.
 fn eval_cmp_scalar(col: &DimensionColumn, op: CmpOp, value: i64) -> Bitmask {
     macro_rules! scan {
         ($v:expr, $cast:ty) => {{
@@ -77,7 +87,7 @@ fn eval_cmp_scalar(col: &DimensionColumn, op: CmpOp, value: i64) -> Bitmask {
             match <$cast>::try_from(value) {
                 Ok(rhs) => {
                     for (i, x) in data.iter().enumerate() {
-                        if op.apply(i64::from(*x), i64::from(rhs)) {
+                        if cmp(op, i64::from(*x), i64::from(rhs)) {
                             mask.set(i);
                         }
                     }
@@ -86,7 +96,7 @@ fn eval_cmp_scalar(col: &DimensionColumn, op: CmpOp, value: i64) -> Bitmask {
                 // space (still correct, just not narrowed).
                 Err(_) => {
                     for (i, x) in data.iter().enumerate() {
-                        if op.apply(i64::from(*x), value) {
+                        if cmp(op, i64::from(*x), value) {
                             mask.set(i);
                         }
                     }
@@ -102,7 +112,7 @@ fn eval_cmp_scalar(col: &DimensionColumn, op: CmpOp, value: i64) -> Bitmask {
         DimensionColumn::Int64(v) => {
             let mut mask = Bitmask::zeros(v.len());
             for (i, x) in v.iter().enumerate() {
-                if op.apply(*x, value) {
+                if cmp(op, *x, value) {
                     mask.set(i);
                 }
             }
@@ -116,21 +126,13 @@ fn eval_cmp_scalar(col: &DimensionColumn, op: CmpOp, value: i64) -> Bitmask {
 
 /// Row-at-a-time `f64` comparison oracle with Rust's native IEEE
 /// semantics (ordered compares and `==` are `false` against NaN, `!=` is
-/// `true`). The SIMD `cmp_f64` kernels of [`crate::simd`] are proven
+/// `true`). The SIMD `cmp_f64` kernels of `flashp_storage::simd` are proven
 /// bit-for-bit identical to this, including NaN / ±∞ / −0.0 / extreme
 /// literals.
 pub fn eval_cmp_f64_scalar(data: &[f64], op: CmpOp, rhs: f64) -> Bitmask {
     let mut mask = Bitmask::zeros(data.len());
     for (i, &x) in data.iter().enumerate() {
-        let hit = match op {
-            CmpOp::Eq => x == rhs,
-            CmpOp::Ne => x != rhs,
-            CmpOp::Lt => x < rhs,
-            CmpOp::Le => x <= rhs,
-            CmpOp::Gt => x > rhs,
-            CmpOp::Ge => x >= rhs,
-        };
-        if hit {
+        if cmp(op, x, rhs) {
             mask.set(i);
         }
     }
@@ -157,10 +159,7 @@ pub fn aggregate_masked_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::DimensionColumn;
-    use crate::predicate::{CmpOp, Predicate};
-    use crate::schema::Schema;
-    use crate::types::DataType;
+    use flashp_storage::{DataType, Predicate, Schema};
 
     #[test]
     fn scalar_reference_on_known_rows() {

@@ -62,9 +62,9 @@ fn option_validation_errors() {
 }
 
 /// `OPTION (…)` is a declarative contract: a key the statement kind does
-/// not accept (a typo, or an option that no longer exists) is a typed
-/// plan-time error naming the key — never silently ignored — on both
-/// engines, which plan through the same `Planner`.
+/// not accept (a typo, or an option that no longer exists) or a key given
+/// twice is a typed plan-time error naming the key — never silently
+/// ignored — on both engines, which plan through the same `Planner`.
 #[test]
 fn unknown_option_keys_are_rejected_on_both_engines() {
     let single = engine();
@@ -80,6 +80,10 @@ fn unknown_option_keys_are_rejected_on_both_engines() {
         (format!("{select} OPTION (FAST_SUM = 1)"), "FAST_SUM"),
         (format!("{select} OPTION (MODEL = 'naive')"), "MODEL"),
         (format!("{forecast} OPTION (MODEL = 'naive', NOISE_AWARE = 'yes')"), "NOISE_AWARE"),
+        // A repeated key, in any case, is refused rather than keeping one
+        // of its values.
+        (format!("{forecast} OPTION (MODEL = 'naive', model = 'ets')"), "model"),
+        (format!("{select} OPTION (SAMPLE_RATE = 1.0, SAMPLE_RATE = 0.1)"), "SAMPLE_RATE"),
     ];
     for (sql, key) in &cases {
         let errors = [
