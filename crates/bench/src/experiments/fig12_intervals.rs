@@ -6,7 +6,7 @@
 use crate::experiments::figure_samplers;
 use crate::{
     forecast_eval, mean_std, paper_rates, print_table, rate_label, rate_scale, runs, sweep_rates,
-    EngineSet, Harness,
+    Harness,
 };
 use serde_json::json;
 
@@ -14,7 +14,7 @@ const MEASURE: usize = 2; // Favorite
 
 pub fn run(h: &Harness) -> serde_json::Value {
     let samplers = figure_samplers();
-    let engines = EngineSet::build(h.table.clone(), &samplers, &paper_rates());
+    let engines: Vec<_> = samplers.iter().map(|s| h.engine(s.clone(), &paper_rates())).collect();
     let sweep = sweep_rates();
     let (t0, t1) = h.train_range(150.min(h.num_days - 8));
     let tasks = h.tasks(MEASURE, 0.005, runs(), 1_201);
@@ -22,8 +22,7 @@ pub fn run(h: &Harness) -> serde_json::Value {
     // Panel (a): interval width vs rate.
     let mut rows = Vec::new();
     let mut panel_a = serde_json::Map::new();
-    for sampler in &samplers {
-        let engine = engines.get(sampler);
+    for (sampler, engine) in samplers.iter().zip(&engines) {
         let mut row = vec![sampler.label().to_string()];
         let mut series = Vec::new();
         for &rate in &sweep {
@@ -60,8 +59,7 @@ pub fn run(h: &Harness) -> serde_json::Value {
     let truth = h.truth(MEASURE, &pred, t1 + 1, t1 + 7);
     let mut rows_b = Vec::new();
     let mut panel_b = serde_json::Map::new();
-    for sampler in &samplers {
-        let engine = engines.get(sampler);
+    for (sampler, engine) in samplers.iter().zip(&engines) {
         if let Ok(eval) = forecast_eval(
             engine,
             MEASURE,

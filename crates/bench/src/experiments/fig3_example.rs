@@ -8,8 +8,7 @@ use flashp_core::SamplerChoice;
 use serde_json::json;
 
 pub fn run(h: &Harness) -> serde_json::Value {
-    let engines = crate::EngineSet::build(h.table.clone(), &[SamplerChoice::OptimalGsw], &[0.01]);
-    let engine = engines.get(&SamplerChoice::OptimalGsw);
+    let engine = &h.engine(SamplerChoice::OptimalGsw, &[0.01]);
     let (t0, t1) = h.train_range(90.min(h.num_days - 8));
     let task = h.tasks(0, 0.1, 1, 42).pop().unwrap();
     let pred = h.table.compile_predicate(&task.predicate).unwrap();

@@ -2,16 +2,12 @@
 //! the aggregation portion and the forecasting portion (ARIMA; the LSTM
 //! fitting time is reported alongside, matching Exp-II's remark).
 
-use crate::{
-    forecast_eval, paper_rates, print_table, rate_label, rate_scale, runs, EngineSet, Harness,
-};
+use crate::{forecast_eval, paper_rates, print_table, rate_label, rate_scale, runs, Harness};
 use flashp_core::SamplerChoice;
 use serde_json::json;
 
 pub fn run(h: &Harness) -> serde_json::Value {
-    let rates_grid = paper_rates();
-    let engines = EngineSet::build(h.table.clone(), &[SamplerChoice::OptimalGsw], &rates_grid);
-    let engine = engines.get(&SamplerChoice::OptimalGsw);
+    let engine = &h.engine(SamplerChoice::OptimalGsw, &paper_rates());
     let (t0, t1) = h.train_range(150.min(h.num_days - 8));
     let tasks = h.tasks(0, 0.05, runs().min(5), 71);
     // The figure's x axis: 100 %, 1 %, 0.05 %, 0.02 % (scaled).

@@ -3,8 +3,7 @@
 //! (panel b). Selectivity 5 %, Impression, optimal GSW.
 
 use crate::{
-    forecast_eval, mean_std, paper_rates, print_table, rate_label, runs, sweep_rates, EngineSet,
-    Harness,
+    forecast_eval, mean_std, paper_rates, print_table, rate_label, runs, sweep_rates, Harness,
 };
 use flashp_core::SamplerChoice;
 use serde_json::json;
@@ -13,9 +12,8 @@ const MEASURE: usize = 0; // Impression
 const TRAIN_LENS: [usize; 4] = [30, 60, 90, 150];
 
 pub fn run(h: &Harness) -> serde_json::Value {
-    let engines = EngineSet::build(h.table.clone(), &[SamplerChoice::OptimalGsw], &paper_rates());
+    let engine = &h.engine(SamplerChoice::OptimalGsw, &paper_rates());
     let sweep = sweep_rates();
-    let engine = engines.get(&SamplerChoice::OptimalGsw);
     let tasks = h.tasks(MEASURE, 0.05, runs(), 801);
 
     let mut out = serde_json::Map::new();

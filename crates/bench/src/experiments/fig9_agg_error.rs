@@ -3,7 +3,7 @@
 //! (panel b), on Favorite.
 
 use crate::experiments::figure_samplers;
-use crate::{agg_error, mean_std, paper_rates, print_table, rate_label, runs, EngineSet, Harness};
+use crate::{agg_error, mean_std, paper_rates, print_table, rate_label, runs, Harness};
 use serde_json::json;
 
 const MEASURE: usize = 2; // Favorite
@@ -11,7 +11,7 @@ const MEASURE: usize = 2; // Favorite
 pub fn run(h: &Harness) -> serde_json::Value {
     let samplers = figure_samplers();
     let rates = paper_rates();
-    let engines = EngineSet::build(h.table.clone(), &samplers, &rates);
+    let engines: Vec<_> = samplers.iter().map(|s| h.engine(s.clone(), &rates)).collect();
     let (t0, t1) = h.train_range(150.min(h.num_days - 8));
     let n_tasks = runs();
 
@@ -20,8 +20,7 @@ pub fn run(h: &Harness) -> serde_json::Value {
         let tasks = h.tasks(MEASURE, selectivity, n_tasks, 900 + (selectivity * 1e4) as u64);
         let mut rows = Vec::new();
         let mut panel = serde_json::Map::new();
-        for sampler in &samplers {
-            let engine = engines.get(sampler);
+        for (sampler, engine) in samplers.iter().zip(&engines) {
             let mut row = vec![sampler.label().to_string()];
             let mut series = Vec::new();
             for &rate in &rates {

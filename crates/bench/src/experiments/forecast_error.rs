@@ -6,8 +6,7 @@
 
 use crate::experiments::figure_samplers;
 use crate::{
-    forecast_eval, mean_std, paper_rates, print_table, rate_label, runs, sweep_rates, EngineSet,
-    Harness,
+    forecast_eval, mean_std, paper_rates, print_table, rate_label, runs, sweep_rates, Harness,
 };
 use serde_json::json;
 
@@ -30,7 +29,7 @@ pub fn run(h: &Harness) -> serde_json::Value {
     let only: Option<usize> =
         std::env::var("FLASHP_PANEL").ok().and_then(|v| v.parse::<usize>().ok());
     let samplers = figure_samplers();
-    let engines = EngineSet::build(h.table.clone(), &samplers, &paper_rates());
+    let engines: Vec<_> = samplers.iter().map(|s| h.engine(s.clone(), &paper_rates())).collect();
     let sweep = sweep_rates();
     let (t0, t1) = h.train_range(150.min(h.num_days - 8));
     let n_tasks = runs();
@@ -46,8 +45,7 @@ pub fn run(h: &Harness) -> serde_json::Value {
         let mut panel_json = serde_json::Map::new();
         for model in ["arima", "lstm"] {
             let mut rows = Vec::new();
-            for sampler in &samplers {
-                let engine = engines.get(sampler);
+            for (sampler, engine) in samplers.iter().zip(&engines) {
                 let mut row = vec![sampler.label().to_string()];
                 let mut series = Vec::new();
                 for &rate in &sweep {

@@ -19,11 +19,9 @@ const MODEL: &str = "arima";
 
 pub fn run(h: &Harness) -> serde_json::Value {
     let rate = rate();
-    let engines = crate::EngineSet::build(
-        h.table.clone(),
-        &[SamplerChoice::Uniform, SamplerChoice::OptimalGsw, SamplerChoice::ArithmeticGsw],
-        &[rate],
-    );
+    let [uniform, opt_gsw, c_gsw] =
+        [SamplerChoice::Uniform, SamplerChoice::OptimalGsw, SamplerChoice::ArithmeticGsw]
+            .map(|s| h.engine(s, &[rate]));
     eprintln!("[table1] building PIM marginals…");
     let pim = PimModel::build(&h.table);
     let (t0, t1) = h.train_range(TRAIN_LEN.min(h.num_days - 8));
@@ -47,16 +45,8 @@ pub fn run(h: &Harness) -> serde_json::Value {
             let truth = h.truth(measure, &pred, t1 + 1, t1 + 7);
 
             // Full (exact scan).
-            let full = forecast_eval(
-                engines.get(&SamplerChoice::Uniform),
-                measure,
-                &pred,
-                (t0, t1),
-                MODEL,
-                1.0,
-                &truth,
-            )
-            .unwrap();
+            let full =
+                forecast_eval(&uniform, measure, &pred, (t0, t1), MODEL, 1.0, &truth).unwrap();
             errs.entry("Full").or_default().push(full.forecast_error);
 
             // PIM: estimate the training series from marginals, same model.
@@ -75,21 +65,10 @@ pub fn run(h: &Harness) -> serde_json::Value {
             }
 
             // Sampled methods.
-            for (label, sampler) in [
-                ("Uniform", SamplerChoice::Uniform),
-                ("Opt-GSW", SamplerChoice::OptimalGsw),
-                ("C-GSW", SamplerChoice::ArithmeticGsw),
-            ] {
-                let eval = forecast_eval(
-                    engines.get(&sampler),
-                    measure,
-                    &pred,
-                    (t0, t1),
-                    MODEL,
-                    rate,
-                    &truth,
-                )
-                .unwrap();
+            for (label, engine) in [("Uniform", &uniform), ("Opt-GSW", &opt_gsw), ("C-GSW", &c_gsw)]
+            {
+                let eval =
+                    forecast_eval(engine, measure, &pred, (t0, t1), MODEL, rate, &truth).unwrap();
                 errs.entry(label).or_default().push(eval.forecast_error);
             }
         }

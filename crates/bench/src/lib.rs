@@ -131,6 +131,21 @@ impl Harness {
             .collect()
     }
 
+    /// An engine over the dataset with a freshly built `sampler` catalog
+    /// at the given layer rates.
+    pub fn engine(&self, sampler: SamplerChoice, rates: &[f64]) -> FlashPEngine {
+        let t0 = Instant::now();
+        let config = EngineConfig { sampler, layer_rates: rates.to_vec(), ..Default::default() };
+        let catalog = SampleCatalog::build(&self.table, &config).expect("sample build");
+        eprintln!(
+            "[harness] built {} samples: {} KiB in {:.1?}",
+            config.sampler.label(),
+            catalog.stats().total_bytes / 1024,
+            t0.elapsed()
+        );
+        FlashPEngine::with_catalog(self.table.clone(), config, catalog)
+    }
+
     /// Exact per-day aggregates over `[t0, t1]`.
     pub fn truth(
         &self,
@@ -152,53 +167,6 @@ impl Harness {
         .into_iter()
         .map(|(_, v)| v)
         .collect()
-    }
-}
-
-/// A set of engines, one per sampler family, all sharing the table.
-pub struct EngineSet {
-    engines: Vec<(SamplerChoice, FlashPEngine)>,
-}
-
-impl EngineSet {
-    /// Build engines for the given samplers with the given layer rates.
-    pub fn build(table: Arc<TimeSeriesTable>, samplers: &[SamplerChoice], rates: &[f64]) -> Self {
-        let mut engines = Vec::with_capacity(samplers.len());
-        for sampler in samplers {
-            let t0 = Instant::now();
-            let config = EngineConfig {
-                sampler: sampler.clone(),
-                layer_rates: rates.to_vec(),
-                ..Default::default()
-            };
-            let catalog = SampleCatalog::build(&table, &config).expect("sample build");
-            eprintln!(
-                "[harness] built {} samples: {} KiB in {:.1?}",
-                sampler.label(),
-                catalog.stats().total_bytes / 1024,
-                t0.elapsed()
-            );
-            engines.push((
-                sampler.clone(),
-                FlashPEngine::with_catalog(table.clone(), config, catalog),
-            ));
-        }
-        EngineSet { engines }
-    }
-
-    /// Engine for one sampler family.
-    pub fn get(&self, choice: &SamplerChoice) -> &FlashPEngine {
-        &self
-            .engines
-            .iter()
-            .find(|(c, _)| c == choice)
-            .unwrap_or_else(|| panic!("engine for {choice:?} not built"))
-            .1
-    }
-
-    /// Iterate `(sampler, engine)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&SamplerChoice, &FlashPEngine)> {
-        self.engines.iter().map(|(c, e)| (c, e))
     }
 }
 

@@ -254,7 +254,8 @@ mod tests {
         assert_eq!(est.prop("partial_cache"), Some("on"));
         // The active scan-kernel tier is named on the source.
         let simd = est.prop("simd").expect("scan source names its kernel tier");
-        assert!(["avx512", "avx2", "sse2", "portable"].contains(&simd), "unknown tier {simd}");
+        let tiers = flashp_storage::KernelTier::ALL.map(flashp_storage::KernelTier::name);
+        assert!(tiers.contains(&simd), "unknown tier {simd}");
         assert_eq!(simd, flashp_storage::simd::active_tier().name());
         // Constant-folded predicate with names resolved.
         let pred = node.find("Predicate").unwrap();

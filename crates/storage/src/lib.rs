@@ -16,7 +16,7 @@
 //! * a predicate language ([`predicate`]) matching the constraint class `C`
 //!   of the paper (any logical expression over dimension values),
 //! * vectorized predicate evaluation into [`bitmask::Bitmask`]es, running
-//!   on runtime-dispatched kernel tiers ([`simd`]: AVX-512 → AVX2 → SSE2 →
+//!   on runtime-dispatched kernel tiers ([`simd`]: AVX-512 → SSE2 →
 //!   portable word-at-a-time, selected once at startup), including SIMD
 //!   IN-list membership and `f64` comparison kernels,
 //! * SUM / COUNT / AVG aggregation ([`aggregate`]) per partition and over

@@ -368,7 +368,8 @@ impl InLookup {
 
 /// Word-at-a-time IN-list membership through the lookup bitset: the
 /// **portable** tier of the membership kernel dispatch in [`crate::simd`];
-/// the AVX2/AVX-512 tiers replace it with table-shuffle / gather probes.
+/// the AVX-512 tier replaces it with table-shuffle / gather probes, and
+/// the SSE2 tier runs it as is.
 pub(crate) fn in_lookup_kernel<T: Copy + Into<i64>>(
     data: &[T],
     lookup: &InLookup,

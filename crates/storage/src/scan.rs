@@ -3,7 +3,7 @@
 //!
 //! Per-partition evaluation routes through the runtime-dispatched kernel
 //! tier ([`crate::simd::active`]): predicate leaves and the fused
-//! single-comparison filter+aggregate run on AVX2 / SSE2 / portable
+//! single-comparison filter+aggregate run on AVX-512 / SSE2 / portable
 //! word-at-a-time kernels, selected once at startup.
 
 use crate::aggregate::{AggFunc, AggState};

@@ -1,6 +1,6 @@
 //! Runtime-dispatched SIMD scan kernels.
 //!
-//! Four kernel tiers implement the same scan primitives — the
+//! Three kernel tiers implement the same scan primitives — the
 //! compare-into-mask kernel behind [`crate::CompiledPredicate`] leaves,
 //! the IN-list membership kernel behind compiled `IN` predicates, and
 //! the fused compare+aggregate kernel behind single-comparison exact
@@ -12,12 +12,11 @@
 //!   `vpshufb` byte-table IN-list membership and a gather probe into the
 //!   [`crate::InLookup`] bitset for wider types. Requires
 //!   `avx512f` + `avx512bw`.
-//! * **`avx2`** — explicit 256-bit compare + movemask intrinsics: 64 rows
-//!   of a `u8` column are two loads, two compares and two movemasks away
-//!   from a finished mask word.
-//! * **`sse2`** — the 128-bit fallback, always present on `x86_64`
-//!   (`i64` comparisons need `pcmpgtq`, which SSE2 lacks, so that one
-//!   slot stays on the portable kernel).
+//! * **`sse2`** — explicit 128-bit compare + movemask intrinsics, part
+//!   of the `x86_64` baseline and so the tier of every x86-64 host
+//!   without AVX-512. `i64` comparisons need `pcmpgtq`, which SSE2
+//!   lacks, and IN-lists need a byte shuffle, so those slots stay on
+//!   the portable kernels.
 //! * **`portable`** — the word-at-a-time kernels of
 //!   [`crate::predicate`] / [`crate::aggregate`]: branchless
 //!   `word |= (cmp as u64) << bit` packing that autovectorizes on any
@@ -29,12 +28,14 @@
 //! `predicate.rs`, `aggregate.rs`, `scan.rs` and `flashp-sampling`'s
 //! estimators all route through. One environment variable overrides the
 //! choice (read once, before the first query):
-//! `FLASHP_KERNEL_TIER=avx512|avx2|sse2|portable` pins a specific tier
-//! (CI runs the whole test suite once per pin, `portable` included, so
-//! every tier stays covered on every PR). An unrecognized name, or a
-//! tier this CPU cannot run, is **never** silent: selection prints one
-//! deterministic warning to stderr and falls back to the best supported
-//! tier (pinned by `resolve_tier`'s unit tests).
+//! `FLASHP_KERNEL_TIER=<tier>` pins a specific tier, named as
+//! [`KernelTier::name`] spells it (CI runs the test suite unpinned, which
+//! dispatches `sse2` on its runners, and once pinned to `portable`, so
+//! every tier but `avx512` is covered on every change). An unrecognized
+//! name (a retired tier such as `avx2` included), or a tier this CPU
+//! cannot run, is **never** silent: selection prints one deterministic
+//! warning to stderr and falls back to the best supported tier (pinned
+//! by `resolve_tier`'s unit tests).
 //!
 //! Every mask and every **exact** aggregate is **bit-for-bit identical**
 //! to the scalar reference oracle in `tests/support/reference.rs`: masks match
@@ -57,9 +58,8 @@ use std::sync::OnceLock;
 pub enum KernelTier {
     /// 512-bit compares into mask registers (`avx512f` + `avx512bw`).
     Avx512,
-    /// 256-bit AVX2 compare + movemask kernels.
-    Avx2,
-    /// 128-bit SSE2 kernels (`i64` compares fall back to portable).
+    /// 128-bit SSE2 kernels (`i64` compares and IN-lists fall back to
+    /// portable).
     Sse2,
     /// Word-at-a-time portable kernels (autovectorized).
     Portable,
@@ -67,15 +67,13 @@ pub enum KernelTier {
 
 impl KernelTier {
     /// All tiers, best first — the dispatch preference order.
-    pub const ALL: [KernelTier; 4] =
-        [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Sse2, KernelTier::Portable];
+    pub const ALL: [KernelTier; 3] = [KernelTier::Avx512, KernelTier::Sse2, KernelTier::Portable];
 
     /// Lower-case tier name as reported by `EXPLAIN` (`simd=<name>`) and
     /// the benchmark's run header.
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Avx512 => "avx512",
-            KernelTier::Avx2 => "avx2",
             KernelTier::Sse2 => "sse2",
             KernelTier::Portable => "portable",
         }
@@ -87,7 +85,6 @@ impl KernelTier {
     pub fn parse(s: &str) -> Option<KernelTier> {
         match s.trim().to_ascii_lowercase().as_str() {
             "avx512" => Some(KernelTier::Avx512),
-            "avx2" => Some(KernelTier::Avx2),
             "sse2" => Some(KernelTier::Sse2),
             "portable" | "scalar" => Some(KernelTier::Portable),
             _ => None,
@@ -279,27 +276,6 @@ impl KernelSet {
                 })
             }
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 if std::arch::is_x86_feature_detected!("avx2") => Some(KernelSet {
-                tier: KernelTier::Avx2,
-                cmp_u8: x86::cmp_u8_avx2,
-                cmp_u16: x86::cmp_u16_avx2,
-                cmp_u32: x86::cmp_u32_avx2,
-                cmp_i64: x86::cmp_i64_avx2,
-                cmp_f64: x86::cmp_f64_avx2,
-                in_u8: x86::in_u8_avx2,
-                // Wider types would need AVX2 gathers whose bounds
-                // handling costs more than the bitset probe saves; the
-                // portable kernel keeps those slots.
-                in_u16: portable::in_u16,
-                in_u32: portable::in_u32,
-                in_i64: portable::in_i64,
-                fused_u8: x86::fused_u8_avx2,
-                fused_u16: x86::fused_u16_avx2,
-                fused_u32: x86::fused_u32_avx2,
-                fused_i64: x86::fused_i64_avx2,
-                fused_f64: x86::fused_f64_avx2,
-            }),
-            #[cfg(target_arch = "x86_64")]
             KernelTier::Avx512
                 if std::arch::is_x86_feature_detected!("avx512f")
                     && std::arch::is_x86_feature_detected!("avx512bw") =>
@@ -371,8 +347,8 @@ fn resolve_tier(pin: Option<&str>, supported: &[KernelTier]) -> (KernelTier, Opt
         None => (
             best,
             Some(format!(
-                "FLASHP_KERNEL_TIER: unrecognized tier {name:?} \
-                 (valid: avx512|avx2|sse2|portable); using {best}"
+                "FLASHP_KERNEL_TIER: unrecognized tier {name:?} (valid: {}); using {best}",
+                KernelTier::ALL.map(KernelTier::name).join("|")
             )),
         ),
         Some(t) if supported.contains(&t) => (t, None),
@@ -538,11 +514,11 @@ mod portable {
     portable_in!(in_i64, i64);
 }
 
-/// Explicit x86-64 SIMD kernels (AVX2 and SSE2 tiers).
+/// Explicit x86-64 SIMD kernels (AVX-512 and SSE2 tiers).
 ///
-/// Every integer comparison reduces, after operand normalization, to one
-/// of three vector primitives — `x == rhs`, `x > rhs`, `rhs > x` — plus
-/// an optional word-level complement (`Ne = !Eq`, `Le = !Gt`,
+/// Every SSE2 integer comparison reduces, after operand normalization, to
+/// one of three vector primitives — `x == rhs`, `x > rhs`, `rhs > x` —
+/// plus an optional word-level complement (`Ne = !Eq`, `Le = !Gt`,
 /// `Ge = !Lt`). The complement is applied to the finished 64-bit mask
 /// word, never to the tail (which is computed scalar with the real
 /// operator), so tail bits beyond `len` stay zero. Unsigned columns are
@@ -575,299 +551,7 @@ mod x86 {
     }
 
     // ---------------------------------------------------------------
-    // AVX2: one 64-row mask word per `word64_*` call.
-    // ---------------------------------------------------------------
-
-    /// 64 `u8` rows → one mask word: two 32-lane compares + movemasks.
-    ///
-    /// # Safety
-    /// `p` must be valid for reads of 64 `u8`s; requires AVX2.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn word64_u8_avx2<const MODE: u8>(
-        p: *const u8,
-        rhs_v: __m256i,
-        rhs_b: __m256i,
-        bias: __m256i,
-    ) -> u64 {
-        let a = _mm256_loadu_si256(p.cast());
-        let b = _mm256_loadu_si256(p.add(32).cast());
-        let (ma, mb) = match MODE {
-            EQ => (_mm256_cmpeq_epi8(a, rhs_v), _mm256_cmpeq_epi8(b, rhs_v)),
-            GT_XR => (
-                _mm256_cmpgt_epi8(_mm256_xor_si256(a, bias), rhs_b),
-                _mm256_cmpgt_epi8(_mm256_xor_si256(b, bias), rhs_b),
-            ),
-            _ => (
-                _mm256_cmpgt_epi8(rhs_b, _mm256_xor_si256(a, bias)),
-                _mm256_cmpgt_epi8(rhs_b, _mm256_xor_si256(b, bias)),
-            ),
-        };
-        let lo = _mm256_movemask_epi8(ma) as u32 as u64;
-        let hi = _mm256_movemask_epi8(mb) as u32 as u64;
-        lo | (hi << 32)
-    }
-
-    /// 64 `u16` rows → one mask word. `packs_epi16` interleaves the
-    /// 128-bit lanes as `[a_lo, b_lo, a_hi, b_hi]`; the `(0,2,1,3)`
-    /// qword permute restores row order before the byte movemask.
-    ///
-    /// # Safety
-    /// `p` must be valid for reads of 64 `u16`s; requires AVX2.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn word64_u16_avx2<const MODE: u8>(
-        p: *const u16,
-        rhs_v: __m256i,
-        rhs_b: __m256i,
-        bias: __m256i,
-    ) -> u64 {
-        let mut out = 0u64;
-        let mut k = 0usize;
-        while k < 2 {
-            let a = _mm256_loadu_si256(p.add(k * 32).cast());
-            let b = _mm256_loadu_si256(p.add(k * 32 + 16).cast());
-            let (ma, mb) = match MODE {
-                EQ => (_mm256_cmpeq_epi16(a, rhs_v), _mm256_cmpeq_epi16(b, rhs_v)),
-                GT_XR => (
-                    _mm256_cmpgt_epi16(_mm256_xor_si256(a, bias), rhs_b),
-                    _mm256_cmpgt_epi16(_mm256_xor_si256(b, bias), rhs_b),
-                ),
-                _ => (
-                    _mm256_cmpgt_epi16(rhs_b, _mm256_xor_si256(a, bias)),
-                    _mm256_cmpgt_epi16(rhs_b, _mm256_xor_si256(b, bias)),
-                ),
-            };
-            let packed = _mm256_permute4x64_epi64::<0b11011000>(_mm256_packs_epi16(ma, mb));
-            out |= (_mm256_movemask_epi8(packed) as u32 as u64) << (k * 32);
-            k += 1;
-        }
-        out
-    }
-
-    /// 64 `u32` (dictionary-code) rows → one mask word via 8-lane
-    /// compares and `movemask_ps`.
-    ///
-    /// # Safety
-    /// `p` must be valid for reads of 64 `u32`s; requires AVX2.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn word64_u32_avx2<const MODE: u8>(
-        p: *const u32,
-        rhs_v: __m256i,
-        rhs_b: __m256i,
-        bias: __m256i,
-    ) -> u64 {
-        let mut out = 0u64;
-        let mut k = 0usize;
-        while k < 8 {
-            let v = _mm256_loadu_si256(p.add(k * 8).cast());
-            let m = match MODE {
-                EQ => _mm256_cmpeq_epi32(v, rhs_v),
-                GT_XR => _mm256_cmpgt_epi32(_mm256_xor_si256(v, bias), rhs_b),
-                _ => _mm256_cmpgt_epi32(rhs_b, _mm256_xor_si256(v, bias)),
-            };
-            out |= (_mm256_movemask_ps(_mm256_castsi256_ps(m)) as u32 as u64) << (k * 8);
-            k += 1;
-        }
-        out
-    }
-
-    /// 64 `i64` rows → one mask word via 4-lane signed compares
-    /// (`pcmpgtq`/`pcmpeqq`, no bias needed) and `movemask_pd`.
-    ///
-    /// # Safety
-    /// `p` must be valid for reads of 64 `i64`s; requires AVX2.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn word64_i64_avx2<const MODE: u8>(
-        p: *const i64,
-        rhs_v: __m256i,
-        _rhs_b: __m256i,
-        _bias: __m256i,
-    ) -> u64 {
-        let mut out = 0u64;
-        let mut k = 0usize;
-        while k < 16 {
-            let v = _mm256_loadu_si256(p.add(k * 4).cast());
-            let m = match MODE {
-                EQ => _mm256_cmpeq_epi64(v, rhs_v),
-                GT_XR => _mm256_cmpgt_epi64(v, rhs_v),
-                _ => _mm256_cmpgt_epi64(rhs_v, v),
-            };
-            out |= (_mm256_movemask_pd(_mm256_castsi256_pd(m)) as u64) << (k * 4);
-            k += 1;
-        }
-        out
-    }
-
-    /// Generate the per-type AVX2 `cmp` + `fused` kernel pair from its
-    /// `word64` builder and broadcast setup.
-    macro_rules! avx2_int_kernels {
-        ($ty:ty, $word64:ident, $cmp_words:ident, $fused_words:ident,
-         $cmp_pub:ident, $fused_pub:ident, $set1:ident, $bias:expr) => {
-            /// # Safety
-            /// Requires AVX2; `words` must cover `data.len() / 64` full
-            /// mask words.
-            #[target_feature(enable = "avx2")]
-            unsafe fn $cmp_words<const MODE: u8>(
-                data: &[$ty],
-                rhs: $ty,
-                inv: u64,
-                words: &mut [u64],
-            ) {
-                let rhs_v = $set1(rhs as _);
-                let bias = $bias;
-                let rhs_b = _mm256_xor_si256(rhs_v, bias);
-                for (wi, chunk) in data.chunks_exact(64).enumerate() {
-                    words[wi] = $word64::<MODE>(chunk.as_ptr(), rhs_v, rhs_b, bias) ^ inv;
-                }
-            }
-
-            /// # Safety
-            /// Requires AVX2; `values.len() >= dims.len()`.
-            #[target_feature(enable = "avx2")]
-            unsafe fn $fused_words<const MODE: u8>(
-                dims: &[$ty],
-                values: &[f64],
-                rhs: $ty,
-                inv: u64,
-            ) -> AggState {
-                let rhs_v = $set1(rhs as _);
-                let bias = $bias;
-                let rhs_b = _mm256_xor_si256(rhs_v, bias);
-                let mut sum = 0.0f64;
-                let mut count = 0u64;
-                let mut base = 0usize;
-                for chunk in dims.chunks_exact(64) {
-                    let word = $word64::<MODE>(chunk.as_ptr(), rhs_v, rhs_b, bias) ^ inv;
-                    accumulate_word(word, &values[base..base + 64], &mut sum, &mut count);
-                    base += 64;
-                }
-                AggState { sum, count }
-            }
-
-            pub(super) fn $cmp_pub(data: &[$ty], op: CmpOp, rhs: $ty, mask: &mut Bitmask) {
-                debug_assert_eq!(data.len(), mask.len());
-                let (mode, complement) = decompose(op);
-                let inv = if complement { u64::MAX } else { 0 };
-                let words = mask.words_mut();
-                // SAFETY: this function is only installed in a KernelSet
-                // after `is_x86_feature_detected!("avx2")` succeeded.
-                unsafe {
-                    match mode {
-                        EQ => $cmp_words::<EQ>(data, rhs, inv, words),
-                        GT_XR => $cmp_words::<GT_XR>(data, rhs, inv, words),
-                        _ => $cmp_words::<GT_RX>(data, rhs, inv, words),
-                    }
-                }
-                scalar_tail(data, op, rhs, words);
-            }
-
-            pub(super) fn $fused_pub(
-                dims: &[$ty],
-                values: &[f64],
-                op: CmpOp,
-                rhs: $ty,
-            ) -> AggState {
-                debug_assert_eq!(dims.len(), values.len());
-                let (mode, complement) = decompose(op);
-                let inv = if complement { u64::MAX } else { 0 };
-                // SAFETY: as above — AVX2 was detected at dispatch time.
-                let mut state = unsafe {
-                    match mode {
-                        EQ => $fused_words::<EQ>(dims, values, rhs, inv),
-                        GT_XR => $fused_words::<GT_XR>(dims, values, rhs, inv),
-                        _ => $fused_words::<GT_RX>(dims, values, rhs, inv),
-                    }
-                };
-                fused_tail(dims, values, op, rhs, &mut state);
-                state
-            }
-        };
-    }
-
-    avx2_int_kernels!(
-        u8,
-        word64_u8_avx2,
-        cmp_words_u8_avx2,
-        fused_words_u8_avx2,
-        cmp_u8_avx2,
-        fused_u8_avx2,
-        _mm256_set1_epi8,
-        _mm256_set1_epi8(i8::MIN)
-    );
-    avx2_int_kernels!(
-        u16,
-        word64_u16_avx2,
-        cmp_words_u16_avx2,
-        fused_words_u16_avx2,
-        cmp_u16_avx2,
-        fused_u16_avx2,
-        _mm256_set1_epi16,
-        _mm256_set1_epi16(i16::MIN)
-    );
-    avx2_int_kernels!(
-        u32,
-        word64_u32_avx2,
-        cmp_words_u32_avx2,
-        fused_words_u32_avx2,
-        cmp_u32_avx2,
-        fused_u32_avx2,
-        _mm256_set1_epi32,
-        _mm256_set1_epi32(i32::MIN)
-    );
-    avx2_int_kernels!(
-        i64,
-        word64_i64_avx2,
-        cmp_words_i64_avx2,
-        fused_words_i64_avx2,
-        cmp_i64_avx2,
-        fused_i64_avx2,
-        _mm256_set1_epi64x,
-        _mm256_setzero_si256()
-    );
-
-    /// # Safety
-    /// Requires AVX2; `words` must cover `data.len() / 64` full words.
-    #[target_feature(enable = "avx2")]
-    unsafe fn cmp_f64_words_avx2<const IMM: i32>(data: &[f64], rhs: f64, words: &mut [u64]) {
-        let rhs_v = _mm256_set1_pd(rhs);
-        for (wi, chunk) in data.chunks_exact(64).enumerate() {
-            let p = chunk.as_ptr();
-            let mut w = 0u64;
-            let mut k = 0usize;
-            while k < 16 {
-                let v = _mm256_loadu_pd(p.add(k * 4));
-                let m = _mm256_cmp_pd::<IMM>(v, rhs_v);
-                w |= (_mm256_movemask_pd(m) as u64) << (k * 4);
-                k += 1;
-            }
-            words[wi] = w;
-        }
-    }
-
-    pub(super) fn cmp_f64_avx2(data: &[f64], op: CmpOp, rhs: f64, mask: &mut Bitmask) {
-        debug_assert_eq!(data.len(), mask.len());
-        let words = mask.words_mut();
-        // SAFETY: AVX2 was detected at dispatch time. The IEEE predicate
-        // per operator matches Rust scalar float comparison exactly
-        // (ordered + quiet, except `!=` which is unordered).
-        unsafe {
-            match op {
-                CmpOp::Eq => cmp_f64_words_avx2::<_CMP_EQ_OQ>(data, rhs, words),
-                CmpOp::Ne => cmp_f64_words_avx2::<_CMP_NEQ_UQ>(data, rhs, words),
-                CmpOp::Lt => cmp_f64_words_avx2::<_CMP_LT_OQ>(data, rhs, words),
-                CmpOp::Le => cmp_f64_words_avx2::<_CMP_LE_OQ>(data, rhs, words),
-                CmpOp::Gt => cmp_f64_words_avx2::<_CMP_GT_OQ>(data, rhs, words),
-                CmpOp::Ge => cmp_f64_words_avx2::<_CMP_GE_OQ>(data, rhs, words),
-            }
-        }
-        scalar_tail(data, op, rhs, words);
-    }
-
-    // ---------------------------------------------------------------
-    // SSE2: same structure at 128 bits.
+    // SSE2: one 64-row mask word per `word64_*` call.
     // ---------------------------------------------------------------
 
     /// # Safety
@@ -1124,55 +808,10 @@ mod x86 {
     }
 
     // ---------------------------------------------------------------
-    // f64 fused filter+aggregate (AVX2 / SSE2): vectorized IEEE compare
+    // f64 fused filter+aggregate (SSE2): vectorized IEEE compare
     // builds the 64-row word, the shared `accumulate_word` keeps the
     // float sum in exact ascending-row order.
     // ---------------------------------------------------------------
-
-    /// # Safety
-    /// Requires AVX2; `values.len() >= dims.len()`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn fused_f64_words_avx2<const IMM: i32>(
-        dims: &[f64],
-        values: &[f64],
-        rhs: f64,
-    ) -> AggState {
-        let rhs_v = _mm256_set1_pd(rhs);
-        let mut sum = 0.0f64;
-        let mut count = 0u64;
-        let mut base = 0usize;
-        for chunk in dims.chunks_exact(64) {
-            let p = chunk.as_ptr();
-            let mut w = 0u64;
-            let mut k = 0usize;
-            while k < 16 {
-                let m = _mm256_cmp_pd::<IMM>(_mm256_loadu_pd(p.add(k * 4)), rhs_v);
-                w |= (_mm256_movemask_pd(m) as u64) << (k * 4);
-                k += 1;
-            }
-            accumulate_word(w, &values[base..base + 64], &mut sum, &mut count);
-            base += 64;
-        }
-        AggState { sum, count }
-    }
-
-    pub(super) fn fused_f64_avx2(dims: &[f64], values: &[f64], op: CmpOp, rhs: f64) -> AggState {
-        debug_assert_eq!(dims.len(), values.len());
-        // SAFETY: AVX2 was detected at dispatch time; predicates as in
-        // `cmp_f64_avx2`.
-        let mut state = unsafe {
-            match op {
-                CmpOp::Eq => fused_f64_words_avx2::<_CMP_EQ_OQ>(dims, values, rhs),
-                CmpOp::Ne => fused_f64_words_avx2::<_CMP_NEQ_UQ>(dims, values, rhs),
-                CmpOp::Lt => fused_f64_words_avx2::<_CMP_LT_OQ>(dims, values, rhs),
-                CmpOp::Le => fused_f64_words_avx2::<_CMP_LE_OQ>(dims, values, rhs),
-                CmpOp::Gt => fused_f64_words_avx2::<_CMP_GT_OQ>(dims, values, rhs),
-                CmpOp::Ge => fused_f64_words_avx2::<_CMP_GE_OQ>(dims, values, rhs),
-            }
-        };
-        fused_tail(dims, values, op, rhs, &mut state);
-        state
-    }
 
     /// # Safety
     /// Requires SSE2; `values.len() >= dims.len()`.
@@ -1224,55 +863,6 @@ mod x86 {
         };
         fused_tail(dims, values, op, rhs, &mut state);
         state
-    }
-
-    // ---------------------------------------------------------------
-    // u8 IN-list membership (AVX2): `vpshufb` over a 256-entry bit table.
-    // Each byte `b` fetches table byte `b >> 3` (two 16-byte halves,
-    // blended on bit 4 of the index) and tests bit `b & 7`.
-    // ---------------------------------------------------------------
-
-    /// # Safety
-    /// Requires AVX2; `words` must cover `data.len() / 64` full words.
-    #[target_feature(enable = "avx2")]
-    unsafe fn in_words_u8_avx2(data: &[u8], table: &[u8; 32], words: &mut [u64]) {
-        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().cast()));
-        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().add(16).cast()));
-        #[rustfmt::skip]
-        let bit_of = _mm256_setr_epi8(
-            1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16, 32, 64, -128,
-            1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16, 32, 64, -128,
-        );
-        for (wi, chunk) in data.chunks_exact(64).enumerate() {
-            let p = chunk.as_ptr();
-            let mut out = 0u64;
-            let mut k = 0usize;
-            while k < 2 {
-                let v = _mm256_loadu_si256(p.add(k * 32).cast());
-                // idx5 = (b >> 3) & 0x1F — which of the 32 table bytes.
-                let idx5 = _mm256_and_si256(_mm256_srli_epi16::<3>(v), _mm256_set1_epi8(0x1F));
-                let idx4 = _mm256_and_si256(idx5, _mm256_set1_epi8(0x0F));
-                let t_lo = _mm256_shuffle_epi8(lo, idx4);
-                let t_hi = _mm256_shuffle_epi8(hi, idx4);
-                // Bit 4 of idx5 → the byte sign bit `blendv` keys on.
-                let sel = _mm256_slli_epi16::<3>(idx5);
-                let t = _mm256_blendv_epi8(t_lo, t_hi, sel);
-                let bitsel = _mm256_shuffle_epi8(bit_of, _mm256_and_si256(v, _mm256_set1_epi8(7)));
-                let m = _mm256_cmpeq_epi8(_mm256_and_si256(t, bitsel), bitsel);
-                out |= (_mm256_movemask_epi8(m) as u32 as u64) << (k * 32);
-                k += 1;
-            }
-            words[wi] = out;
-        }
-    }
-
-    pub(super) fn in_u8_avx2(data: &[u8], lookup: &InLookup, mask: &mut Bitmask) {
-        debug_assert_eq!(data.len(), mask.len());
-        let table = byte_bit_table(lookup);
-        let words = mask.words_mut();
-        // SAFETY: AVX2 was detected at dispatch time.
-        unsafe { in_words_u8_avx2(data, &table, words) };
-        in_tail(data, lookup, words);
     }
 
     // ---------------------------------------------------------------
@@ -1510,8 +1100,9 @@ mod x86 {
     pub(super) fn cmp_f64_avx512(data: &[f64], op: CmpOp, rhs: f64, mask: &mut Bitmask) {
         debug_assert_eq!(data.len(), mask.len());
         let words = mask.words_mut();
-        // SAFETY: AVX-512 was detected at dispatch time; IEEE predicates
-        // per operator as in `cmp_f64_avx2`.
+        // SAFETY: AVX-512 was detected at dispatch time. The IEEE predicate
+        // per operator matches Rust scalar float comparison exactly
+        // (ordered + quiet, except `!=` which is unordered).
         unsafe {
             match op {
                 CmpOp::Eq => cmp_f64_words_avx512::<_CMP_EQ_OQ>(data, rhs, words),
@@ -1563,10 +1154,10 @@ mod x86 {
     }
 
     // ---------------------------------------------------------------
-    // IN-list membership (AVX-512): `vpshufb` bit table for u8 (as the
-    // AVX2 kernel, but one 64-row word per iteration and mask-register
-    // membership), gather probe into the InLookup bitset for wider
-    // types.
+    // IN-list membership (AVX-512): `vpshufb` over a 256-entry bit table
+    // for u8 — each byte `b` fetches table byte `b >> 3` (two 16-byte
+    // halves, blended on bit 4 of the index) and tests bit `b & 7` — and
+    // a gather probe into the InLookup bitset for wider types.
     // ---------------------------------------------------------------
 
     /// # Safety
@@ -1615,7 +1206,7 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn load8_u32(p: *const u32) -> __m512i {
-        _mm512_cvtepu32_epi64(_mm256_loadu_si256(p.cast()))
+        _mm512_cvtepu32_epi64(p.cast::<__m256i>().read_unaligned())
     }
 
     /// # Safety
@@ -1703,10 +1294,10 @@ mod tests {
         assert_eq!(active().tier(), active_tier());
     }
 
-    /// Guard for CI's `kernel-tier-matrix` legs: when `FLASHP_KERNEL_TIER`
-    /// pins a tier this CPU supports, dispatch **must** land on it —
-    /// otherwise a leg silently re-runs the best tier's suite and the
-    /// pinned tier loses its only CI coverage.
+    /// Guard for CI's pinned `kernel-tier-matrix` job: when
+    /// `FLASHP_KERNEL_TIER` pins a tier this CPU supports, dispatch
+    /// **must** land on it — otherwise the job silently re-runs the best
+    /// tier's suite and the pinned tier loses its only CI coverage.
     #[test]
     fn kernel_tier_pin_is_the_active_tier() {
         let pinned = std::env::var("FLASHP_KERNEL_TIER").ok().and_then(|v| KernelTier::parse(&v));
@@ -1843,32 +1434,35 @@ mod tests {
 
     #[test]
     fn resolve_tier_pins_and_warns_deterministically() {
-        let all = [KernelTier::Avx512, KernelTier::Avx2, KernelTier::Sse2, KernelTier::Portable];
-        let no_avx512 = [KernelTier::Avx2, KernelTier::Sse2, KernelTier::Portable];
+        let all = KernelTier::ALL;
+        let no_avx512 = [KernelTier::Sse2, KernelTier::Portable];
 
         // No pin: best supported tier, silent.
         assert_eq!(resolve_tier(None, &all), (KernelTier::Avx512, None));
-        // Valid supported pin: honored, silent.
+        // Valid supported pin: honored case-insensitively, silent.
         assert_eq!(resolve_tier(Some("sse2"), &all), (KernelTier::Sse2, None));
-        assert_eq!(resolve_tier(Some(" AVX2 "), &all), (KernelTier::Avx2, None));
+        assert_eq!(resolve_tier(Some(" SSE2 "), &all), (KernelTier::Sse2, None));
         assert_eq!(resolve_tier(Some("scalar"), &all), (KernelTier::Portable, None));
 
-        // Unknown tier name: falls back to the best tier and says so —
-        // never a silent portable downgrade.
-        let (tier, warn) = resolve_tier(Some("avx1024"), &no_avx512);
-        assert_eq!(tier, KernelTier::Avx2);
-        let warn = warn.expect("unknown tier must warn");
-        assert!(warn.contains("unrecognized tier \"avx1024\""), "{warn}");
-        assert!(warn.contains("using avx2"), "{warn}");
-        // Deterministic: the identical inputs produce the identical text.
-        assert_eq!(resolve_tier(Some("avx1024"), &no_avx512).1.as_deref(), Some(&*warn));
+        // Unknown tier name — including the retired `avx2` tier: falls
+        // back to the best tier and says so, never a silent downgrade.
+        for name in ["avx1024", "avx2"] {
+            let (tier, warn) = resolve_tier(Some(name), &no_avx512);
+            assert_eq!(tier, KernelTier::Sse2);
+            let warn = warn.expect("unknown tier must warn");
+            assert!(warn.contains(&format!("unrecognized tier {name:?}")), "{warn}");
+            assert!(warn.contains("(valid: avx512|sse2|portable)"), "{warn}");
+            assert!(warn.contains("using sse2"), "{warn}");
+            // Deterministic: the identical inputs produce the identical text.
+            assert_eq!(resolve_tier(Some(name), &no_avx512).1.as_deref(), Some(&*warn));
+        }
 
         // Known but unsupported tier: explicit message naming both tiers.
         let (tier, warn) = resolve_tier(Some("avx512"), &no_avx512);
-        assert_eq!(tier, KernelTier::Avx2);
+        assert_eq!(tier, KernelTier::Sse2);
         let warn = warn.expect("unsupported tier must warn");
         assert!(warn.contains("'avx512' is not supported"), "{warn}");
-        assert!(warn.contains("using avx2"), "{warn}");
+        assert!(warn.contains("using sse2"), "{warn}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Kernel-equivalence properties: **every** kernel tier — the portable
 //! word-at-a-time kernels plus each SIMD tier this machine supports
-//! (SSE2, AVX2) — must be bit-for-bit (masks) and sum-exact (aggregates)
+//! (SSE2, AVX-512) — must be bit-for-bit (masks) and sum-exact (aggregates)
 //! identical to the scalar reference implementations in
 //! `support/reference.rs`, over random schemas, column types, row
 //! counts (including `len % 64` and SIMD-lane `len % 4` tails), masks,

@@ -11,6 +11,7 @@ use flashp::core::{
     SamplerChoice,
 };
 use flashp::data::{generate_dataset, BatchStream, DatasetConfig, StreamConfig};
+use flashp::storage::KernelTier;
 use std::sync::Arc;
 
 fn dataset_config(seed: u64) -> DatasetConfig {
@@ -403,7 +404,7 @@ fn explain_round_trips_for_the_corpus() {
         // Every scan source names the dispatched scan-kernel tier.
         let simd = source.prop("simd").unwrap_or_else(|| panic!("{sql}: no simd prop:\n{node}"));
         assert!(
-            ["avx512", "avx2", "sse2", "portable"].contains(&simd),
+            KernelTier::ALL.map(KernelTier::name).contains(&simd),
             "{sql}: unknown tier {simd}"
         );
         match engine.execute(&explain_sql).unwrap() {
@@ -522,8 +523,9 @@ fn pinned_kernel_tiers_report_in_explain_and_agree() {
         println!("TIER_RESULT {}", r.rows[0].1.to_bits());
         return;
     }
-    // Every tier at or below the auto-detected one is supported here.
-    let order = ["portable", "sse2", "avx2", "avx512"];
+    // Every tier at or below the auto-detected one is supported here;
+    // `ALL` is best first, so walk it from the portable end.
+    let order: Vec<&str> = KernelTier::ALL.iter().rev().map(|t| t.name()).collect();
     let active = flashp::storage::simd::active_tier().name();
     let best = order.iter().position(|t| *t == active).expect("active tier is a known name");
     let exe = std::env::current_exe().unwrap();
